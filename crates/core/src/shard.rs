@@ -60,6 +60,26 @@ impl ShardPlan {
         }
     }
 
+    /// An adversarial plan splitting the graph in half by unit index:
+    /// the first half on chip 0, the rest on the last chip, so every
+    /// stream between the halves crosses (multi-hop on grids wider than
+    /// two chips). [`plan_shards`] keeps designs that fit one chip whole,
+    /// so tests and the fuzz oracle use this plan to exercise the link
+    /// model regardless of planner policy.
+    pub fn halved(g: &Vudfg, count: u32) -> ShardPlan {
+        let n = g.units.len();
+        let last = count.max(1) - 1;
+        let chip_of: Vec<u32> = (0..n).map(|i| if i < n / 2 { 0 } else { last }).collect();
+        let crossings = g
+            .streams
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| chip_of[s.src.index()] != chip_of[s.dst.index()])
+            .map(|(i, _)| StreamId(i as u32))
+            .collect();
+        ShardPlan { count, chip_of, crossings, cut_traffic: 0.0 }
+    }
+
     /// Whether a stream crosses a chip boundary under this plan.
     pub fn is_crossing(&self, s: &Stream) -> bool {
         self.chip_of[s.src.index()] != self.chip_of[s.dst.index()]
@@ -578,6 +598,18 @@ mod tests {
             assert_eq!(plan.chip_of[side + i - 1], plan.chip_of[side + i], "right half together");
         }
         assert_ne!(plan.chip_of[0], plan.chip_of[side]);
+    }
+
+    #[test]
+    fn halved_plan_splits_by_unit_index() {
+        // 3 + 3 units: the chains stay whole and only the bridge, from
+        // the last unit of the first half, crosses to the last chip.
+        let g = dumbbell(3);
+        let plan = ShardPlan::halved(&g, 4);
+        assert_eq!(plan.count, 4);
+        assert_eq!(plan.chip_of, vec![0, 0, 0, 3, 3, 3]);
+        assert_eq!(plan.crossings.len(), 1);
+        assert_eq!(g.stream(plan.crossings[0]).label, "bridge");
     }
 
     #[test]

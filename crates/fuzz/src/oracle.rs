@@ -8,10 +8,17 @@
 //! deadlock/timeout/fault on a program the interpreter accepts, a
 //! scheduler disagreement, or a wrong DRAM image are all failures; typed
 //! `IrError`/`CompileError`/PnR rejections are clean rejects.
+//!
+//! A case that passes on one chip runs again on two: the same placed
+//! graph under the adversarial [`ShardPlan::halved`] plan with
+//! 1-packet-per-cycle links, where both schedulers must agree and the
+//! DRAM image must equal the single-chip one (a chip boundary may only
+//! cost cycles).
 
-use plasticine_arch::ChipSpec;
-use plasticine_sim::{simulate, SimConfig, SimOutcome};
+use plasticine_arch::{ChipSpec, SystemSpec};
+use plasticine_sim::{simulate, simulate_system, SimConfig, SimOutcome};
 use sara_core::compile::{compile, CompilerOptions};
+use sara_core::shard::ShardPlan;
 use sara_ir::interp::Interp;
 use sara_ir::{MemKind, Program};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,6 +32,8 @@ pub enum Stage {
     Pnr,
     SimDense,
     SimActive,
+    SystemDense,
+    SystemActive,
     Compare,
 }
 
@@ -37,6 +46,8 @@ impl std::fmt::Display for Stage {
             Stage::Pnr => "pnr",
             Stage::SimDense => "sim-dense",
             Stage::SimActive => "sim-active",
+            Stage::SystemDense => "system-dense",
+            Stage::SystemActive => "system-active",
             Stage::Compare => "compare",
         };
         f.write_str(s)
@@ -68,7 +79,8 @@ pub enum FailureKind {
     /// Dense and active-list schedulers disagree (cycles, firings, or
     /// DRAM image).
     SchedulerDivergence,
-    /// The fabric's DRAM image differs from the interpreter's memory.
+    /// The fabric's DRAM image differs from the interpreter's memory,
+    /// or the 2-chip image from the single-chip one.
     ResultDivergence,
 }
 
@@ -153,35 +165,13 @@ impl Oracle {
         }
 
         // ---- simulate under both schedulers ----
-        let dense_cfg = SimConfig { dense: true, ..self.sim_cfg.clone() };
-        let active_cfg = SimConfig { dense: false, ..self.sim_cfg.clone() };
-        let dense =
-            match guard(Stage::SimDense, || simulate(&compiled.vudfg, &self.chip, &dense_cfg)) {
-                Ok(Ok(o)) => o,
-                Ok(Err(e)) => {
-                    return Verdict::Failure {
-                        kind: FailureKind::SimFailure(Stage::SimDense),
-                        detail: e.to_string(),
-                    }
-                }
-                Err(v) => return v,
-            };
-        let active =
-            match guard(Stage::SimActive, || simulate(&compiled.vudfg, &self.chip, &active_cfg)) {
-                Ok(Ok(o)) => o,
-                Ok(Err(e)) => {
-                    return Verdict::Failure {
-                        kind: FailureKind::SimFailure(Stage::SimActive),
-                        detail: e.to_string(),
-                    }
-                }
-                Err(v) => return v,
-            };
-
-        // ---- scheduler agreement ----
-        if let Some(detail) = scheduler_diff(&dense, &active) {
-            return Verdict::Failure { kind: FailureKind::SchedulerDivergence, detail };
-        }
+        let g = &compiled.vudfg;
+        let active = match self.both_schedulers([Stage::SimDense, Stage::SimActive], |cfg| {
+            simulate(g, &self.chip, cfg)
+        }) {
+            Ok(o) => o,
+            Err(v) => return v,
+        };
 
         // ---- fabric vs interpreter ----
         for (mi, m) in p.mems.iter().enumerate() {
@@ -216,7 +206,48 @@ impl Oracle {
                 }
             }
         }
+
+        // ---- the same graph split over two chips ----
+        let mut system = SystemSpec::grid(self.chip.clone(), 2);
+        system.link.bandwidth = 1;
+        let plan = ShardPlan::halved(g, system.count);
+        let split = match self.both_schedulers([Stage::SystemDense, Stage::SystemActive], |cfg| {
+            simulate_system(g, &system, &plan, cfg)
+        }) {
+            Ok(o) => o,
+            Err(v) => return v,
+        };
+        if split.dram_final != active.dram_final {
+            return Verdict::Failure {
+                kind: FailureKind::ResultDivergence,
+                detail: "2-chip halved plan: DRAM image differs from the single-chip run".into(),
+            };
+        }
         Verdict::Pass { cycles: active.cycles }
+    }
+
+    /// Run `sim` under the dense and the active scheduler (`stages`
+    /// names the two runs, in that order) and require them to agree.
+    /// Returns the active outcome.
+    fn both_schedulers(
+        &self,
+        [dense_stage, active_stage]: [Stage; 2],
+        sim: impl Fn(&SimConfig) -> Result<SimOutcome, plasticine_sim::SimError>,
+    ) -> Result<SimOutcome, Verdict> {
+        let run = |stage, dense| {
+            let cfg = SimConfig { dense, ..self.sim_cfg.clone() };
+            guard(stage, || sim(&cfg))?.map_err(|e| Verdict::Failure {
+                kind: FailureKind::SimFailure(stage),
+                detail: e.to_string(),
+            })
+        };
+        let dense = run(dense_stage, true)?;
+        let active = run(active_stage, false)?;
+        if let Some(diff) = scheduler_diff(&dense, &active) {
+            let detail = format!("{dense_stage}/{active_stage}: {diff}");
+            return Err(Verdict::Failure { kind: FailureKind::SchedulerDivergence, detail });
+        }
+        Ok(active)
     }
 }
 

@@ -1,6 +1,13 @@
 //! The simulation engine: builds runtime state from a compiled VUDFG and
 //! advances it until the program completes (or deadlocks).
 //!
+//! [`simulate`] and [`simulate_system`] are two entry points over the one
+//! engine. A multi-chip run differs from a single-chip one in exactly two
+//! inputs: one DRAM controller per chip (each unit's requests go to its
+//! own chip's; all controllers back one shared word image), and a link
+//! regulator that slips packets on chip-crossing streams. A single chip
+//! is one controller and no crossings.
+//!
 //! Two cycle-for-cycle equivalent schedulers are provided:
 //!
 //! * the **dense** reference loop steps every unit on every cycle;
@@ -18,6 +25,7 @@
 //! one of the wake conditions above occurs.
 
 use crate::fault::{FaultPlan, Injector};
+use crate::link::Links;
 use crate::packet::PacketArena;
 use crate::profile::Profiler;
 use crate::sanitize::Sanitizer;
@@ -26,10 +34,11 @@ use crate::units::{
     AgRt, CollRt, CompleteKind, Ctx, DistRt, StallClass, SyncRt, UKind, Units, VcuRt, VmuRt,
 };
 use crate::watchdog;
-use plasticine_arch::ChipSpec;
+use plasticine_arch::{ChipSpec, SystemSpec};
 use ramulator_lite::{DramError, DramModelCfg, DramSim, DramStats, Response};
 use sara_core::profile::SimProfile;
 use sara_core::robust::{InvariantKind, SanitizerReport, WatchdogReport};
+use sara_core::shard::ShardPlan;
 use sara_core::vudfg::{StreamKind, UnitKind, Vudfg};
 use sara_ir::{Elem, MemId};
 use std::cmp::Reverse;
@@ -206,26 +215,78 @@ impl SimOutcome {
     }
 }
 
+/// The DRAM controllers of a run: one per chip, each unit's requests
+/// going to its own chip's controller.
+struct Drams {
+    sims: Vec<DramSim>,
+    /// Chip of every unit.
+    chip_of: Vec<u32>,
+}
+
+impl Drams {
+    fn new(chip: &ChipSpec, count: u32, chip_of: Vec<u32>, cfg: &SimConfig) -> Drams {
+        let sims = (0..count.max(1))
+            .map(|_| match &cfg.dram_override {
+                Some(c) => DramSim::with_cfg(c.clone()),
+                None => DramSim::new(chip.dram),
+            })
+            .collect();
+        Drams { sims, chip_of }
+    }
+
+    /// The controller serving unit `i`.
+    #[inline]
+    fn of(&mut self, i: usize) -> &mut DramSim {
+        &mut self.sims[self.chip_of[i] as usize]
+    }
+
+    fn busy(&self) -> bool {
+        self.sims.iter().any(DramSim::busy)
+    }
+
+    fn next_completion_time(&self) -> Option<u64> {
+        self.sims.iter().filter_map(DramSim::next_completion_time).min()
+    }
+
+    /// Tick every controller, appending responses in chip order.
+    fn tick(&mut self, now: u64, out: &mut Vec<Response>) {
+        for d in &mut self.sims {
+            d.tick(now, out);
+        }
+    }
+
+    /// Statistics summed over the controllers.
+    fn stats(&self) -> DramStats {
+        self.sims.iter().map(DramSim::stats).fold(DramStats::default(), |a, s| DramStats {
+            read_bytes: a.read_bytes + s.read_bytes,
+            write_bytes: a.write_bytes + s.write_bytes,
+            requests: a.requests + s.requests,
+            row_hits: a.row_hits + s.row_hits,
+            row_misses: a.row_misses + s.row_misses,
+        })
+    }
+}
+
 /// Robustness-layer state threaded through the schedulers: the fault
 /// injector, the sanitizer, and AG retry budgets. All `None`/inert by
 /// default, in which case every hook below compiles down to a skipped
 /// branch and the simulation is bit-identical to the pre-robustness
 /// engine.
-pub(crate) struct Robust {
-    pub(crate) inj: Option<Injector>,
-    pub(crate) san: Option<Sanitizer>,
-    pub(crate) retry_timeout: u64,
-    pub(crate) max_retries: u32,
+struct Robust {
+    inj: Option<Injector>,
+    san: Option<Sanitizer>,
+    retry_timeout: u64,
+    max_retries: u32,
 }
 
 impl Robust {
     /// Run end-of-cycle invariant checks (sanitize mode).
-    pub(crate) fn sanitize_cycle(
+    fn sanitize_cycle(
         &mut self,
         now: u64,
         streams: &[StreamRt],
         units: &Units,
-        dram: &DramSim,
+        drams: &Drams,
     ) -> Result<(), SimError> {
         // Mirror injected-fault events into the report ring first so a
         // violation report names its own cause.
@@ -241,23 +302,27 @@ impl Robust {
         for v in &units.vmus {
             san.check_vmu(now, v).map_err(SimError::Sanitizer)?;
         }
-        san.check_dram(now, dram).map_err(SimError::Sanitizer)?;
+        for d in &drams.sims {
+            san.check_dram(now, d).map_err(SimError::Sanitizer)?;
+        }
         Ok(())
     }
 
-    /// Fault mode: reissue overdue DRAM requests; typed error when a run
-    /// exhausts its budget. Returns the number of reissues (progress).
-    pub(crate) fn poll_ag_retries(
+    /// Fault mode: reissue overdue DRAM requests, each to its AG's own
+    /// chip's controller; typed error when a run exhausts its budget.
+    /// Returns the number of reissues (progress).
+    fn poll_ag_retries(
         &mut self,
         now: u64,
         units: &mut Units,
-        dram: &mut DramSim,
+        drams: &mut Drams,
     ) -> Result<u64, SimError> {
         if self.inj.is_none() {
             return Ok(0);
         }
         let mut reissued = 0u64;
         for a in units.ags.iter_mut() {
+            let dram = drams.of(a.unit_index);
             match a.poll_retries(now, dram, self.retry_timeout, self.max_retries) {
                 Ok(tags) => {
                     for (tag, nth) in tags {
@@ -276,7 +341,7 @@ impl Robust {
     }
 
     /// Earliest future cycle the retry poller must run at (fault mode).
-    pub(crate) fn next_retry_deadline(&self, units: &Units) -> Option<u64> {
+    fn next_retry_deadline(&self, units: &Units) -> Option<u64> {
         self.inj.as_ref()?;
         units.ags.iter().filter_map(|a| a.next_retry_deadline(self.retry_timeout)).min()
     }
@@ -284,7 +349,7 @@ impl Robust {
 
 /// Build the deadlock error: run the watchdog's wait-for analysis and
 /// append its rendering to the legacy stall/backpressure diagnostic.
-pub(crate) fn deadlock_error(
+fn deadlock_error(
     g: &Vudfg,
     units: &Units,
     streams: &[StreamRt],
@@ -298,7 +363,7 @@ pub(crate) fn deadlock_error(
 
 /// Runtime stream state, one per stream spec (token streams start with
 /// their initial CMMC credits queued).
-pub(crate) fn build_streams(g: &Vudfg) -> Vec<StreamRt> {
+fn build_streams(g: &Vudfg) -> Vec<StreamRt> {
     g.streams
         .iter()
         .map(|s| {
@@ -313,7 +378,7 @@ pub(crate) fn build_streams(g: &Vudfg) -> Vec<StreamRt> {
 
 /// The flat DRAM word image, with every tensor's init copied in at its
 /// base address.
-pub(crate) fn build_image(g: &Vudfg) -> Vec<Elem> {
+fn build_image(g: &Vudfg) -> Vec<Elem> {
     let total_words = g.drams.iter().map(|d| (d.base / 4) as usize + d.words).max().unwrap_or(0);
     let mut image: Vec<Elem> = vec![Elem::F64(0.0); total_words];
     for d in &g.drams {
@@ -325,7 +390,7 @@ pub(crate) fn build_image(g: &Vudfg) -> Vec<Elem> {
 
 /// Runtime unit state (struct-of-arrays: a tag vector plus dense
 /// per-kind vectors, each filled in unit-index order).
-pub(crate) fn build_units(g: &Vudfg) -> Units {
+fn build_units(g: &Vudfg) -> Units {
     let mut units = Units::default();
     for (i, u) in g.units.iter().enumerate() {
         let tag = match &u.kind {
@@ -385,7 +450,7 @@ pub(crate) fn build_units(g: &Vudfg) -> Units {
 /// Streams into compute units may retain trailing epoch markers or
 /// unused credits after the consumer completes; token streams retain
 /// their initial credits.
-pub(crate) fn build_must_drain(g: &Vudfg) -> Vec<bool> {
+fn build_must_drain(g: &Vudfg) -> Vec<bool> {
     g.streams
         .iter()
         .map(|s| {
@@ -396,9 +461,9 @@ pub(crate) fn build_must_drain(g: &Vudfg) -> Vec<bool> {
         .collect()
 }
 
-/// Final outcome assembly shared by the single- and multi-chip paths:
-/// per-tensor DRAM slices plus aggregate statistics.
-pub(crate) fn collect_outcome(
+/// Final outcome assembly: per-tensor DRAM slices plus aggregate
+/// statistics.
+fn collect_outcome(
     g: &Vudfg,
     now: u64,
     image: &[Elem],
@@ -434,12 +499,59 @@ pub(crate) fn collect_outcome(
 ///
 /// Deadlock, timeout, or a unit fault (see [`SimError`]).
 pub fn simulate(g: &Vudfg, chip: &ChipSpec, cfg: &SimConfig) -> Result<SimOutcome, SimError> {
+    run(g, cfg, Drams::new(chip, 1, vec![0; g.units.len()], cfg), None)
+}
+
+/// Simulate a compiled, system-placed VUDFG on every chip of `system`
+/// under one global clock.
+///
+/// `plan` is the shard plan `sara-pnr`'s system placement produced for
+/// this graph: it assigns every unit a chip (and so a DRAM controller)
+/// and lists the crossing streams, which contend for inter-chip link
+/// bandwidth. A 1-chip system is one controller and no crossings,
+/// bit-identical to [`simulate`].
+///
+/// # Errors
+///
+/// [`SimError::Config`] when the plan does not cover the graph or names
+/// a chip outside the system; otherwise as [`simulate`].
+pub fn simulate_system(
+    g: &Vudfg,
+    system: &SystemSpec,
+    plan: &ShardPlan,
+    cfg: &SimConfig,
+) -> Result<SimOutcome, SimError> {
+    if plan.chip_of.len() != g.units.len() {
+        return Err(SimError::Config {
+            message: format!(
+                "shard plan covers {} units but the graph has {}",
+                plan.chip_of.len(),
+                g.units.len()
+            ),
+        });
+    }
+    if let Some(&c) = plan.chip_of.iter().find(|&&c| c >= system.count.max(1)) {
+        return Err(SimError::Config {
+            message: format!(
+                "shard plan places a unit on chip {c} of a {}-chip system",
+                system.count
+            ),
+        });
+    }
+    let drams = Drams::new(&system.chip, system.count, plan.chip_of.clone(), cfg);
+    run(g, cfg, drams, Links::new(g, system, plan))
+}
+
+/// Build the runtime state and drive the configured scheduler to
+/// completion.
+fn run(
+    g: &Vudfg,
+    cfg: &SimConfig,
+    mut drams: Drams,
+    mut links: Option<Links>,
+) -> Result<SimOutcome, SimError> {
     let mut streams = build_streams(g);
     let mut image = build_image(g);
-    let mut dram = match &cfg.dram_override {
-        Some(c) => DramSim::with_cfg(c.clone()),
-        None => DramSim::new(chip.dram),
-    };
     let mut units = build_units(g);
 
     // ---- packet arena (payload storage for every in-flight packet) ----
@@ -466,40 +578,27 @@ pub fn simulate(g: &Vudfg, chip: &ChipSpec, cfg: &SimConfig) -> Result<SimOutcom
 
     // ---- main loop ----
     let mut prof = cfg.profile.then(|| Profiler::new(g, &streams, cfg.profile_epoch));
-    let now = if cfg.dense {
-        run_dense(
-            g,
-            cfg,
-            &mut streams,
-            &mut units,
-            &mut arena,
-            &mut dram,
-            &mut image,
-            &must_drain,
-            &mut prof,
-            &mut robust,
-        )?
-    } else {
-        run_active(
-            g,
-            cfg,
-            &mut streams,
-            &mut units,
-            &mut arena,
-            &mut dram,
-            &mut image,
-            &must_drain,
-            &mut prof,
-            &mut robust,
-        )?
-    };
+    let run_loop = if cfg.dense { run_dense } else { run_active };
+    let now = run_loop(
+        g,
+        cfg,
+        &mut streams,
+        &mut units,
+        &mut arena,
+        &mut drams,
+        &mut links,
+        &mut image,
+        &must_drain,
+        &mut prof,
+        &mut robust,
+    )?;
     let profile = prof.map(|p| p.finish(now, &streams));
-    Ok(collect_outcome(g, now, &image, &units, dram.stats(), profile))
+    Ok(collect_outcome(g, now, &image, &units, drams.stats(), profile))
 }
 
 /// Step one unit; on stepper error, wrap into a [`SimError::Fault`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step_unit(
+fn step_unit(
     units: &mut Units,
     i: usize,
     now: u64,
@@ -522,7 +621,7 @@ pub(crate) fn step_unit(
 /// the retry path are absorbed; an unknown response is a sanitizer
 /// violation when sanitizing, silently dropped otherwise (pre-existing
 /// behavior).
-pub(crate) fn deliver_response(
+fn deliver_response(
     now: u64,
     r: &Response,
     units: &mut Units,
@@ -570,11 +669,12 @@ pub(crate) fn deliver_response(
     }
 }
 
-/// Completion test: all compute done, all AGs drained, DRAM idle, and
-/// every must-drain stream empty (up to trailing markers).
-fn finished(units: &Units, dram: &DramSim, streams: &[StreamRt], must_drain: &[bool]) -> bool {
+/// Completion test: all compute done, all AGs drained, every DRAM
+/// controller idle, and every must-drain stream empty (up to trailing
+/// markers).
+fn finished(units: &Units, drams: &Drams, streams: &[StreamRt], must_drain: &[bool]) -> bool {
     let all_done = units.vcus.iter().all(|v| v.done) && units.ags.iter().all(|a| a.idle());
-    all_done && !dram.busy() && streams.iter().zip(must_drain).all(|(s, d)| !*d || s.is_drained())
+    all_done && !drams.busy() && streams.iter().zip(must_drain).all(|(s, d)| !*d || s.is_drained())
 }
 
 /// Reference scheduler: tick every stream and step every unit, every
@@ -586,7 +686,8 @@ fn run_dense(
     streams: &mut [StreamRt],
     units: &mut Units,
     arena: &mut PacketArena,
-    dram: &mut DramSim,
+    drams: &mut Drams,
+    links: &mut Option<Links>,
     image: &mut [Elem],
     must_drain: &[bool],
     prof: &mut Option<Profiler>,
@@ -616,7 +717,11 @@ fn run_dense(
                 }
             }
             let before = progress;
-            step_unit(units, i, now, streams, arena, &mut progress, dram, image)?;
+            step_unit(units, i, now, streams, arena, &mut progress, drams.of(i), image)?;
+            if let Some(l) = links.as_mut() {
+                // Every unit steps every cycle, so slip wakes are moot.
+                l.after_step(i, now, streams, |_, _| {});
+            }
             if let Some(p) = prof.as_mut() {
                 if let UKind::Vcu(k) = units.kind[i] {
                     p.observe_vcu(i, now, &units.vcus[k as usize], progress > before);
@@ -624,11 +729,11 @@ fn run_dense(
                 p.observe_unit_streams(i, now, streams);
             }
         }
-        progress += robust.poll_ag_retries(now, units, dram)?;
+        progress += robust.poll_ag_retries(now, units, drams)?;
         responses.clear();
-        dram.tick(now, &mut responses);
+        drams.tick(now, &mut responses);
         if let Some(p) = prof.as_mut() {
-            p.observe_dram(now, dram.stats());
+            p.observe_dram(now, drams.stats());
         }
         if let Some(inj) = robust.inj.as_mut() {
             inj.filter_responses(now, &mut responses);
@@ -640,11 +745,11 @@ fn run_dense(
         if let Some(inj) = robust.inj.as_mut() {
             inj.end_cycle(now, streams, arena);
         }
-        robust.sanitize_cycle(now, streams, units, dram)?;
+        robust.sanitize_cycle(now, streams, units, drams)?;
         if progress > 0 {
             last_progress_cycle = now;
         }
-        if finished(units, dram, streams, must_drain) {
+        if finished(units, drams, streams, must_drain) {
             return Ok(now);
         }
         if now - last_progress_cycle > cfg.deadlock_window {
@@ -652,7 +757,7 @@ fn run_dense(
             // completes (bumping progress), pending fault-plan state still
             // mutates the simulation, and an armed retry will fire. Only
             // when none of those can move does the watchdog declare.
-            let live = dram.busy()
+            let live = drams.busy()
                 || robust.inj.as_ref().map(|i| i.pending(now)).unwrap_or(false)
                 || robust.next_retry_deadline(units).is_some();
             if !live {
@@ -791,6 +896,10 @@ impl EventWheel {
 ///   more next cycle, e.g. a VMU serving one port op per cycle);
 /// * **DRAM** — a response for one of its requests retired, or its
 ///   coalescing run hits the staleness deadline;
+/// * **link slip** — a packet pushed onto an inter-chip crossing had to
+///   wait for link bandwidth: the consumer also wakes at the packet's
+///   slipped delivery cycle (its `now + latency` wake is then a no-op
+///   step);
 /// * **start** — every unit is stepped at cycle 1 (init tokens).
 ///
 /// When no event targets the current cycle the clock fast-forwards to the
@@ -803,7 +912,8 @@ fn run_active(
     streams: &mut [StreamRt],
     units: &mut Units,
     arena: &mut PacketArena,
-    dram: &mut DramSim,
+    drams: &mut Drams,
+    links: &mut Option<Links>,
     image: &mut [Elem],
     must_drain: &[bool],
     prof: &mut Option<Profiler>,
@@ -813,7 +923,7 @@ fn run_active(
     if n == 0 {
         // Degenerate graph: the dense loop completes (or deadlocks) on
         // cycle 1 with nothing to step.
-        return if finished(units, dram, streams, must_drain) {
+        return if finished(units, drams, streams, must_drain) {
             Ok(1)
         } else {
             Err(deadlock_error(g, units, streams, cfg.deadlock_window + 1, cfg.deadlock_window + 1))
@@ -885,7 +995,7 @@ fn run_active(
     // `finished()` scan, which otherwise walks every unit and stream on
     // every processed round.
     let mut undone = units.vcus.iter().filter(|v| !v.done).count();
-    // Next DRAM completion, valid after every dram.tick.
+    // Next DRAM completion over every controller, valid after every tick.
     let mut dram_next: Option<u64> = None;
 
     // Last observed per-stream push/free counters, for post-step wake
@@ -1018,7 +1128,20 @@ fn run_active(
             let progress_before = progress;
             let was_done = matches!(units.kind[i], UKind::Vcu(k) if units.vcus[k as usize].done);
 
-            step_unit(units, i, now, streams, arena, &mut progress, dram, image)?;
+            step_unit(units, i, now, streams, arena, &mut progress, drams.of(i), image)?;
+            // A done VCU's step is unconditionally a no-op (`done` is
+            // sticky), so wakes targeting one are dropped. With the
+            // profiler attached, wakes are kept so per-cycle observations
+            // match the unpruned schedule.
+            let prune = prof.is_none();
+            if let Some(l) = links.as_mut() {
+                l.after_step(i, now, streams, |t, s| {
+                    let dst = dst_of[s];
+                    if !(prune && units.vcu(dst).is_some_and(|v| v.done)) {
+                        events.push(t, dst);
+                    }
+                });
+            }
 
             if let Some(p) = prof.as_mut() {
                 if let UKind::Vcu(k) = units.kind[i] {
@@ -1045,11 +1168,6 @@ fn run_active(
                 }
             }
 
-            // A done VCU's step is unconditionally a no-op (`done` is
-            // sticky), so wakes targeting one are dropped. With the
-            // profiler attached, wakes are kept so per-cycle observations
-            // match the unpruned schedule.
-            let prune = prof.is_none();
             let mut changed = progress > progress_before;
             // Pushes on output streams wake the consumer at delivery time.
             for &s in &unit_outputs[i] {
@@ -1149,19 +1267,19 @@ fn run_active(
         }
 
         // ---- AG retry recovery (fault mode) ----
-        let reissued = robust.poll_ag_retries(now, units, dram)?;
+        let reissued = robust.poll_ag_retries(now, units, drams)?;
         progress += reissued;
 
         // ---- DRAM ----
         // Requests are only pushed during unit steps (and retry polls) and
-        // ticking schedules the whole queue, so ticking on step cycles
-        // plus completion cycles reproduces the dense loop's every-cycle
-        // tick exactly (idle ticks are no-ops).
+        // ticking schedules the whole queue, so ticking every controller
+        // on step cycles plus completion cycles reproduces the dense
+        // loop's every-cycle tick exactly (idle ticks are no-ops).
         if stepped_any || reissued > 0 || dram_next == Some(now) {
             responses.clear();
-            dram.tick(now, &mut responses);
+            drams.tick(now, &mut responses);
             if let Some(p) = prof.as_mut() {
-                p.observe_dram(now, dram.stats());
+                p.observe_dram(now, drams.stats());
             }
             if let Some(inj) = robust.inj.as_mut() {
                 inj.filter_responses(now, &mut responses);
@@ -1172,7 +1290,7 @@ fn run_active(
                     events.push(now + 1, ui);
                 }
             }
-            dram_next = dram.next_completion_time();
+            dram_next = drams.next_completion_time();
         }
         // Fault-delayed responses re-deliver on their own schedule, DRAM
         // tick or not (their deadline is folded into `target`).
@@ -1184,7 +1302,7 @@ fn run_active(
             }
         }
 
-        robust.sanitize_cycle(now, streams, units, dram)?;
+        robust.sanitize_cycle(now, streams, units, drams)?;
         if progress > 0 {
             last_progress_cycle = now;
         }
@@ -1193,7 +1311,7 @@ fn run_active(
         // cycles, so checking here matches the dense per-cycle check.
         // (`finished` requires every VCU done, so the O(1) `undone` guard
         // skips the full scan until the endgame.)
-        if undone == 0 && finished(units, dram, streams, must_drain) {
+        if undone == 0 && finished(units, drams, streams, must_drain) {
             return Ok(now);
         }
         if now - last_progress_cycle > cfg.deadlock_window {
@@ -1216,7 +1334,7 @@ fn run_active(
         // due. Every iteration performs exactly the work the full round
         // would (tick inputs, step, compute wakes, completion check), so
         // cycle counts and results are bit-identical.
-        if batch_ok && stepped_count == 1 && fast_ok[sole] && !dram.busy() {
+        if batch_ok && stepped_count == 1 && fast_ok[sole] && !drams.busy() {
             let u = sole;
             let mut t = now;
             loop {
@@ -1256,7 +1374,15 @@ fn run_active(
                 let mut mini_progress: u64 = 0;
                 let was_done =
                     matches!(units.kind[u], UKind::Vcu(k) if units.vcus[k as usize].done);
-                step_unit(units, u, t, streams, arena, &mut mini_progress, dram, image)?;
+                step_unit(units, u, t, streams, arena, &mut mini_progress, drams.of(u), image)?;
+                if let Some(l) = links.as_mut() {
+                    l.after_step(u, t, streams, |at, s| {
+                        let dst = dst_of[s];
+                        if !units.vcu(dst).is_some_and(|v| v.done) {
+                            events.push(at, dst);
+                        }
+                    });
+                }
                 if let UKind::Vcu(k) = units.kind[u] {
                     let v = &units.vcus[k as usize];
                     if v.done && !was_done {
@@ -1305,7 +1431,7 @@ fn run_active(
                         events.push(t + 1, u);
                     }
                 }
-                if undone == 0 && finished(units, dram, streams, must_drain) {
+                if undone == 0 && finished(units, drams, streams, must_drain) {
                     return Ok(t);
                 }
                 if !changed {

@@ -164,10 +164,12 @@ impl StreamRt {
 
     // ----------------------------------------------------- fault hooks
     //
-    // Used only by the fault injector. They mutate stream state *without*
-    // touching the push/pop/skip counters: the faults model hardware
-    // misbehaving outside the protocol, which is exactly what the
-    // sanitizer's conservation check is designed to catch.
+    // Used by the fault injector (and `fault_delay_in_flight` by the
+    // inter-chip link regulator, to slip packets that wait for link
+    // bandwidth). They mutate stream state *without* touching the
+    // push/pop/skip counters: the faults model hardware misbehaving
+    // outside the protocol, which is exactly what the sanitizer's
+    // conservation check is designed to catch.
 
     /// Materialize a spurious credit token directly in the receive FIFO.
     pub fn fault_leak_token(&mut self) {

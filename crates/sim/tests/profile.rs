@@ -6,15 +6,17 @@
 //! * every cycle of every VCU is attributed to exactly one state, so the
 //!   active/idle/stalled breakdown sums to the simulated cycle count;
 //! * the dense and active-list schedulers produce identical profiles
-//!   (same attributions, same stream counters, same DRAM timeline);
+//!   (same attributions, same stream counters, same DRAM timeline), on
+//!   one chip and on two chips under the adversarial halved plan;
 //! * structural sanity: high-water marks within slot bounds, segment
 //!   timelines contiguous from cycle 1 to the end, DRAM epoch totals
 //!   matching the aggregate DRAM stats.
 
-use plasticine_arch::ChipSpec;
-use plasticine_sim::{simulate, SimConfig, SimOutcome, SimProfile};
+use plasticine_arch::{ChipSpec, SystemSpec};
+use plasticine_sim::{simulate, simulate_system, SimConfig, SimOutcome, SimProfile};
 use sara_core::compile::{compile, CompilerOptions};
 use sara_core::profile::StallReason;
+use sara_core::shard::ShardPlan;
 
 const ALL_WORKLOADS: [&str; 16] = [
     "dotprod",
@@ -35,13 +37,24 @@ const ALL_WORKLOADS: [&str; 16] = [
     "sgd",
 ];
 
-fn run(name: &str, chip: &ChipSpec, cfg: &SimConfig) -> SimOutcome {
+/// Simulate a registry workload on `chip` itself (`chips == 1`) or on a
+/// `chips`-chip system under the halved plan with 1-packet-per-cycle
+/// links, where every stream between the halves crosses and contends.
+fn run(name: &str, chip: &ChipSpec, chips: u32, cfg: &SimConfig) -> SimOutcome {
     let w = sara_workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
     let mut compiled = compile(&w.program, chip, &CompilerOptions::default())
         .unwrap_or_else(|e| panic!("compile {name}: {e}"));
     sara_pnr::place_and_route(&mut compiled.vudfg, &compiled.assignment, chip, 7)
         .unwrap_or_else(|e| panic!("pnr {name}: {e}"));
-    simulate(&compiled.vudfg, chip, cfg).unwrap_or_else(|e| panic!("sim {name}: {e}"))
+    let g = &compiled.vudfg;
+    let out = if chips == 1 {
+        simulate(g, chip, cfg)
+    } else {
+        let mut system = SystemSpec::grid(chip.clone(), chips);
+        system.link.bandwidth = 1;
+        simulate_system(g, &system, &ShardPlan::halved(g, chips), cfg)
+    };
+    out.unwrap_or_else(|e| panic!("sim {name} ({chips} chips): {e}"))
 }
 
 fn assert_outcomes_equal(name: &str, a: &SimOutcome, b: &SimOutcome) {
@@ -159,21 +172,24 @@ fn assert_profiles_equal(name: &str, a: &SimProfile, b: &SimProfile) {
 }
 
 fn check(name: &str, chip: &ChipSpec) {
-    let plain = run(name, chip, &SimConfig::default());
-    assert!(plain.profile.is_none(), "{name}: profile must be absent when disabled");
+    for chips in [1, 2] {
+        let tag = &format!("{name} ({chips} chips)");
+        let plain = run(name, chip, chips, &SimConfig::default());
+        assert!(plain.profile.is_none(), "{tag}: profile must be absent when disabled");
 
-    let profiled = run(name, chip, &SimConfig::profiled());
-    assert_outcomes_equal(name, &plain, &profiled);
-    assert_profile_sane(name, &profiled);
+        let profiled = run(name, chip, chips, &SimConfig::profiled());
+        assert_outcomes_equal(tag, &plain, &profiled);
+        assert_profile_sane(tag, &profiled);
 
-    let dense = run(name, chip, &SimConfig { dense: true, ..SimConfig::profiled() });
-    assert_outcomes_equal(name, &plain, &dense);
-    assert_profile_sane(name, &dense);
-    assert_profiles_equal(
-        name,
-        profiled.profile.as_ref().unwrap(),
-        dense.profile.as_ref().unwrap(),
-    );
+        let dense = run(name, chip, chips, &SimConfig { dense: true, ..SimConfig::profiled() });
+        assert_outcomes_equal(tag, &plain, &dense);
+        assert_profile_sane(tag, &dense);
+        assert_profiles_equal(
+            tag,
+            profiled.profile.as_ref().unwrap(),
+            dense.profile.as_ref().unwrap(),
+        );
+    }
 }
 
 #[test]
@@ -214,7 +230,7 @@ fn profile_surfaces_a_real_bottleneck() {
     // run has stalled or active cycles on every VCU, and the report layer
     // must render a summary naming at least one unit.
     let chip = ChipSpec::small_8x8();
-    let out = run("gemm", &chip, &SimConfig::profiled());
+    let out = run("gemm", &chip, 1, &SimConfig::profiled());
     let p = out.profile.as_ref().unwrap();
     assert!(!p.vcus.is_empty());
     assert!(p.vcus.iter().any(|v| v.active_cycles > 0), "no VCU ever active");

@@ -14,14 +14,21 @@
 //! 3. **No false positives** — a slow-but-live fabric (DRAM latency
 //!    beyond the deadlock window) completes clean: the watchdog defers to
 //!    in-flight DRAM/fault/retry state instead of crying deadlock.
+//!
+//! The sanitizer, stall-fault and retry tests also run every graph on a
+//! 2-chip system under the adversarial halved plan, so the layer is
+//! checked across per-chip DRAM controllers and slipping links too.
 
-use plasticine_arch::ChipSpec;
-use plasticine_sim::{simulate, FaultKind, FaultPlan, SimConfig, SimError};
+use plasticine_arch::{ChipSpec, SystemSpec};
+use plasticine_sim::{
+    simulate, simulate_system, FaultKind, FaultPlan, SimConfig, SimError, SimOutcome,
+};
 use ramulator_lite::DramModelCfg;
 use sara_core::cmmc::CmmcOptions;
 use sara_core::compile::{compile, CompilerOptions};
 use sara_core::lower::LowerOptions;
 use sara_core::robust::InvariantKind;
+use sara_core::shard::ShardPlan;
 use sara_core::vudfg::{StreamKind, UnitKind, Vudfg};
 
 fn compiled(name: &str) -> (Vudfg, ChipSpec) {
@@ -53,18 +60,37 @@ fn with_plan(plan: FaultPlan) -> SimConfig {
     SimConfig { faults: Some(plan), sanitize: true, ..SimConfig::default() }
 }
 
+/// Run `g` on `chip` itself (`chips == 1`) or on a 2-chip system under
+/// the halved plan with 1-packet-per-cycle links, where every stream
+/// between the halves crosses and contends for link slots.
+fn sim_on(chips: u32, g: &Vudfg, chip: &ChipSpec, cfg: &SimConfig) -> Result<SimOutcome, SimError> {
+    if chips == 1 {
+        return simulate(g, chip, cfg);
+    }
+    let mut system = SystemSpec::grid(chip.clone(), chips);
+    system.link.bandwidth = 1;
+    simulate_system(g, &system, &ShardPlan::halved(g, chips), cfg)
+}
+
 #[test]
 fn sanitizer_clean_on_every_registry_workload_under_both_schedulers() {
     let chip = ChipSpec::small_8x8();
     for w in sara_workloads::all_small() {
         let mut c = compile(&w.program, &chip, &CompilerOptions::default()).expect(w.name);
         sara_pnr::place_and_route(&mut c.vudfg, &c.assignment, &chip, 7).expect(w.name);
-        let plain = simulate(&c.vudfg, &chip, &SimConfig::default()).expect(w.name);
-        for dense in [false, true] {
-            let cfg = SimConfig { sanitize: true, dense, ..SimConfig::default() };
-            let o = simulate(&c.vudfg, &chip, &cfg)
-                .unwrap_or_else(|e| panic!("{}: sanitizer tripped on clean run: {e}", w.name));
-            assert_eq!(o.cycles, plain.cycles, "{}: sanitizer perturbed timing", w.name);
+        for chips in [1, 2] {
+            let plain = sim_on(chips, &c.vudfg, &chip, &SimConfig::default()).expect(w.name);
+            for dense in [false, true] {
+                let cfg = SimConfig { sanitize: true, dense, ..SimConfig::default() };
+                let o = sim_on(chips, &c.vudfg, &chip, &cfg).unwrap_or_else(|e| {
+                    panic!("{} ({chips} chips): sanitizer tripped on clean run: {e}", w.name)
+                });
+                assert_eq!(
+                    o.cycles, plain.cycles,
+                    "{} ({chips} chips): sanitizer perturbed timing",
+                    w.name
+                );
+            }
         }
     }
 }
@@ -200,23 +226,25 @@ fn corrupted_packet_is_diagnosed_or_visibly_diverges() {
 #[test]
 fn dropped_dram_response_recovers_via_ag_retry() {
     let (g, chip) = compiled("dotprod");
-    let baseline = simulate(&g, &chip, &SimConfig::default()).unwrap();
-    for dense in [false, true] {
-        let cfg = SimConfig {
-            faults: Some(FaultPlan::empty().with(1, FaultKind::DropDramResponse { nth: 1 })),
-            sanitize: true,
-            dense,
-            dram_retry_timeout: 500,
-            ..SimConfig::default()
-        };
-        let o = simulate(&g, &chip, &cfg).unwrap_or_else(|e| {
-            panic!("retry must absorb a dropped response (dense={dense}): {e}")
-        });
-        assert_eq!(o.dram_final, baseline.dram_final, "retry recovery changed results");
-        assert!(
-            o.cycles > baseline.cycles,
-            "recovery should cost at least the retry timeout (dense={dense})"
-        );
+    for chips in [1, 2] {
+        let baseline = sim_on(chips, &g, &chip, &SimConfig::default()).unwrap();
+        for dense in [false, true] {
+            let cfg = SimConfig {
+                faults: Some(FaultPlan::empty().with(1, FaultKind::DropDramResponse { nth: 1 })),
+                sanitize: true,
+                dense,
+                dram_retry_timeout: 500,
+                ..SimConfig::default()
+            };
+            let o = sim_on(chips, &g, &chip, &cfg).unwrap_or_else(|e| {
+                panic!("retry must absorb a dropped response ({chips} chips, dense={dense}): {e}")
+            });
+            assert_eq!(o.dram_final, baseline.dram_final, "retry recovery changed results");
+            assert!(
+                o.cycles > baseline.cycles,
+                "recovery should cost at least the retry timeout ({chips} chips, dense={dense})"
+            );
+        }
     }
 }
 
@@ -337,20 +365,19 @@ fn faulted_runs_are_deterministic_across_schedulers_when_timing_only() {
     let (g, chip) = compiled("bs");
     let vcu = g.units.iter().position(|u| matches!(u.kind, UnitKind::Vcu(_))).expect("no VCU");
     let plan = FaultPlan::empty().with(20, FaultKind::Stall { unit: vcu, cycles: 300 });
-    let dense_o = simulate(
-        &g,
-        &chip,
-        &SimConfig { faults: Some(plan.clone()), dense: true, ..SimConfig::default() },
-    )
-    .expect("dense");
-    let active_o = simulate(
-        &g,
-        &chip,
-        &SimConfig { faults: Some(plan), dense: false, ..SimConfig::default() },
-    )
-    .expect("active");
-    assert_eq!(dense_o.cycles, active_o.cycles, "schedulers diverged under a stall fault");
-    assert_eq!(dense_o.dram_final, active_o.dram_final);
+    for chips in [1, 2] {
+        let run = |dense| {
+            let cfg = SimConfig { faults: Some(plan.clone()), dense, ..SimConfig::default() };
+            sim_on(chips, &g, &chip, &cfg)
+                .unwrap_or_else(|e| panic!("{chips} chips, dense={dense}: {e}"))
+        };
+        let (dense_o, active_o) = (run(true), run(false));
+        assert_eq!(
+            dense_o.cycles, active_o.cycles,
+            "schedulers diverged under a stall fault ({chips} chips)"
+        );
+        assert_eq!(dense_o.dram_final, active_o.dram_final);
+    }
 }
 
 #[test]

@@ -26,7 +26,9 @@
 #                    scale): the 1-vs-4-chip sweep over the embarrassingly
 #                    parallel workloads plus one full sarac --system run.
 #                    Any of them failing to beat its 1-chip baseline fails
-#                    verification — what the CI multichip-smoke job runs.
+#                    verification, as does a fault-injected, sanitized
+#                    sarac --system run whose sim line differs from the
+#                    single-chip one — what the CI multichip-smoke job runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,6 +86,15 @@ run_multichip() {
     echo "== multichip (smoke scale, scale-out gate)"
     SARA_BENCH_SMOKE=1 SARA_BENCH_RESULTS_DIR="${SARA_BENCH_RESULTS_DIR:-multichip-artifacts}"       cargo run --release -q -p sara-bench --bin multichip
     cargo run --release -q -p sara-bench --bin sarac -- gemm --system 4x8x8 --simulate
+    echo "== sarac --system with faults and sanitizer (must match one chip)"
+    local sys one
+    sys=$(cargo run --release -q -p sara-bench --bin sarac -- gemm --system 4x8x8 --simulate \
+      --faults examples/gemm-faults.plan --sanitize | grep '^sim:')
+    one=$(cargo run --release -q -p sara-bench --bin sarac -- gemm --simulate \
+      --faults examples/gemm-faults.plan --sanitize | grep '^sim:')
+    echo "system: $sys"
+    echo "single: $one"
+    [[ "$sys" == "$one" ]] || { echo "error: system and single-chip sim lines differ" >&2; exit 1; }
   fi
 }
 
