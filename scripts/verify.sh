@@ -17,7 +17,9 @@
 #                    (smoke scale) against the committed baseline in
 #                    results/BENCH_sim_throughput.json — what the CI
 #                    perf-trajectory job gates on. Fails on a >20%
-#                    calibration-normalized regression.
+#                    calibration-normalized regression. Then run the
+#                    pipeline benchmark's determinism tests (perfbench/):
+#                    per-seed placement and simulation counts repeat.
 #   --chaos          additionally run the sarad service-level chaos soak
 #                    (two fixed seeds): fault-injected store, byte budget,
 #                    crash restarts, transport abuse. Any panic, hang, or
@@ -106,6 +108,8 @@ run_bench() {
       --out BENCH_sim_throughput \
       --baseline results/BENCH_sim_throughput.json \
       --max-regress 0.20
+    echo "== perfbench determinism tests"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
   fi
 }
 
