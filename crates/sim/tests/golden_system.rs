@@ -173,3 +173,20 @@ fn starved_links_slow_the_crossings_down() {
         fast.cycles
     );
 }
+
+/// A 1-chip system run of one placed graph gives the same cycles and
+/// DRAM image as `simulate` on its chip: one DRAM controller and no
+/// crossings run the single-chip engine unchanged.
+#[test]
+fn one_chip_system_run_matches_simulate_in_cycles_and_dram_image() {
+    let w = sara_workloads::by_name("dotprod").unwrap();
+    let chip = ChipSpec::small_8x8();
+    let system = SystemSpec::single(chip.clone());
+    let mut compiled = compile(&w.program, &chip, &Default::default()).unwrap();
+    let pnr =
+        place_and_route_system(&mut compiled.vudfg, &compiled.assignment, &system, 7).unwrap();
+    let single = simulate(&compiled.vudfg, &chip, &SimConfig::default()).unwrap();
+    let sys = simulate_system(&compiled.vudfg, &system, &pnr.plan, &SimConfig::default()).unwrap();
+    assert_eq!(sys.cycles, single.cycles);
+    assert_eq!(sys.dram_final, single.dram_final);
+}
