@@ -87,6 +87,14 @@ fn main() {
 
     let results = sweep::run_points(&points, eval);
     let by_pt: Vec<(&Pt, Result<Out, String>)> = points.iter().zip(results).collect();
+    for (pt, res) in &by_pt {
+        if let Err(e) = res {
+            eprintln!("{}/{}: {e}", pt.app, pt.variant.unwrap_or("baseline"));
+            if e.starts_with("verify:") {
+                std::process::exit(1);
+            }
+        }
+    }
 
     let mut rows: Vec<Json> = Vec::new();
     println!(
@@ -97,36 +105,32 @@ fn main() {
         let Some(with) = by_pt.iter().find_map(|(pt, res)| {
             (pt.app == app && pt.variant.is_none()).then(|| res.as_ref().ok()).flatten()
         }) else {
-            eprintln!("{app} baseline failed");
             continue;
         };
         for (pt, res) in &by_pt {
             let (Some(v), true) = (pt.variant, pt.app == app) else { continue };
-            match res {
-                Ok(without) => {
-                    let speedup = without.cycles as f64 / with.cycles as f64;
-                    println!(
-                        "{:<6} {:<10} {:>8.2} {:>8} {:>8} {:>8} {:>8}",
-                        app,
-                        v,
-                        speedup,
-                        with.pus,
-                        without.pus,
-                        with.token_streams,
-                        without.token_streams
-                    );
-                    rows.push(
-                        Json::object()
-                            .set("app", app)
-                            .set("opt", v)
-                            .set("speedup", speedup)
-                            .set("pus_with", with.pus)
-                            .set("pus_without", without.pus)
-                            .set("token_streams_with", with.token_streams)
-                            .set("token_streams_without", without.token_streams),
-                    );
-                }
-                Err(e) => eprintln!("{app}/{v}: {e}"),
+            if let Ok(without) = res {
+                let speedup = without.cycles as f64 / with.cycles as f64;
+                println!(
+                    "{:<6} {:<10} {:>8.2} {:>8} {:>8} {:>8} {:>8}",
+                    app,
+                    v,
+                    speedup,
+                    with.pus,
+                    without.pus,
+                    with.token_streams,
+                    without.token_streams
+                );
+                rows.push(
+                    Json::object()
+                        .set("app", app)
+                        .set("opt", v)
+                        .set("speedup", speedup)
+                        .set("pus_with", with.pus)
+                        .set("pus_without", without.pus)
+                        .set("token_streams_with", with.token_streams)
+                        .set("token_streams_without", without.token_streams),
+                );
             }
         }
     }

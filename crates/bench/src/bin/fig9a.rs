@@ -150,7 +150,12 @@ fn main() {
                         .set("dram_bw_bytes_per_cycle", o.dram_bw),
                 );
             }
-            Err(e) => eprintln!("{pt:?}: {e}"),
+            Err(e) => {
+                eprintln!("{pt:?}: {e}");
+                if e.starts_with("verify:") {
+                    std::process::exit(1);
+                }
+            }
         }
     }
     let path = sara_bench::save_json_or_exit("fig9a", &Json::from(rows));

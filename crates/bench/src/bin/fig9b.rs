@@ -103,6 +103,9 @@ fn main() {
             Ok(o) => Some((pt, o)),
             Err(e) => {
                 eprintln!("{} par {} {}: {e}", pt.app, pt.pi * pt.pn, pt.opts);
+                if e.starts_with("verify:") {
+                    std::process::exit(1);
+                }
                 None
             }
         })

@@ -79,7 +79,7 @@ fn eval(pt: &Pt) -> Result<Out, String> {
         // Scaled knobs can exceed what lowering supports (banking limits,
         // SIMD width on odd shapes): keep the point at default knobs so
         // the row still shows the system's behavior.
-        Err(_) if par > 1 => (run_point(&base, &system)?, 1, true),
+        Err(e) if par > 1 && !e.starts_with("verify:") => (run_point(&base, &system)?, 1, true),
         Err(e) => return Err(e),
     };
     let (run, crossings, cut_traffic) = r;
@@ -155,7 +155,12 @@ fn main() {
                         .set("fell_back_to_default_knobs", o.fell_back),
                 );
             }
-            Err(e) => eprintln!("{pt:?}: {e}"),
+            Err(e) => {
+                eprintln!("{pt:?}: {e}");
+                if e.starts_with("verify:") {
+                    std::process::exit(1);
+                }
+            }
         }
     }
     let path = sara_bench::save_json_or_exit("BENCH_multichip", &Json::from(rows));

@@ -79,6 +79,9 @@ fn main() {
             Ok(o) => Some((pt, o)),
             Err(e) => {
                 eprintln!("{} {}: {e}", pt.app, if pt.pc { "pc" } else { "sara" });
+                if e.starts_with("verify:") {
+                    std::process::exit(1);
+                }
                 None
             }
         })

@@ -88,6 +88,9 @@ fn main() {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("{} sara: {e}", pt.app);
+                if e.starts_with("verify:") {
+                    std::process::exit(1);
+                }
                 continue;
             }
         };

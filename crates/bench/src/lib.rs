@@ -8,7 +8,7 @@ pub mod trace;
 
 use json::Json;
 use plasticine_arch::{ChipSpec, SystemSpec};
-use plasticine_sim::{simulate, simulate_system, SimConfig, SimOutcome};
+use plasticine_sim::{simulate, simulate_system, verify_dram, SimConfig, SimOutcome};
 use sara_core::compile::{compile, Compiled, CompilerOptions};
 use sara_ir::interp::{Interp, InterpStats};
 use sara_ir::Program;
@@ -16,7 +16,8 @@ use std::path::PathBuf;
 
 pub use cli::{parse_profile_dir_flag, profile_dir};
 
-/// One full run of a program through the SARA stack.
+/// One full run of a program through the SARA stack, its DRAM image
+/// checked against the reference interpreter.
 #[derive(Debug)]
 pub struct Run {
     pub compiled: Compiled,
@@ -59,11 +60,15 @@ pub fn sim_config() -> SimConfig {
     }
 }
 
-/// Compile, place-and-route, and simulate a program.
+/// Compile, place-and-route, and simulate a program, then check the final
+/// DRAM image against the reference interpreter ([`verify_dram`]).
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the failing phase.
+/// Returns a human-readable description of the failing phase. A DRAM
+/// image that differs from the interpreter's is an error starting with
+/// `verify:` that names the tensor and the index; the fig/table binaries
+/// exit 1 on it.
 pub fn run(p: &Program, chip: &ChipSpec, opts: &CompilerOptions) -> Result<Run, String> {
     run_with(p, chip, opts, &sim_config())
 }
@@ -72,19 +77,20 @@ pub fn run(p: &Program, chip: &ChipSpec, opts: &CompilerOptions) -> Result<Run, 
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the failing phase.
+/// As [`run`].
 pub fn run_with(
     p: &Program,
     chip: &ChipSpec,
     opts: &CompilerOptions,
     cfg: &SimConfig,
 ) -> Result<Run, String> {
-    let interp = Interp::new(p).run().map_err(|e| format!("interp: {e}"))?.stats;
+    let reference = Interp::new(p).run().map_err(|e| format!("interp: {e}"))?;
     let mut compiled = compile(p, chip, opts).map_err(|e| format!("compile: {e}"))?;
     sara_pnr::place_and_route(&mut compiled.vudfg, &compiled.assignment, chip, 17)
         .map_err(|e| format!("pnr: {e}"))?;
     let outcome = simulate(&compiled.vudfg, chip, cfg).map_err(|e| format!("sim: {e}"))?;
-    Ok(Run { compiled, outcome, interp })
+    verify_dram(p, &reference, &outcome).map_err(|e| format!("verify: {e}"))?;
+    Ok(Run { compiled, outcome, interp: reference.stats })
 }
 
 /// [`run`], plus profile artifacts when a profile directory is
@@ -95,8 +101,7 @@ pub fn run_with(
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the failing phase, including
-/// artifact I/O.
+/// As [`run`], plus artifact I/O.
 pub fn run_profiled(
     tag: &str,
     p: &Program,
@@ -127,7 +132,7 @@ pub fn run_profiled(
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the failing phase.
+/// As [`run`].
 pub fn run_system(
     p: &Program,
     system: &SystemSpec,
@@ -140,21 +145,22 @@ pub fn run_system(
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the failing phase.
+/// As [`run`].
 pub fn run_system_with(
     p: &Program,
     system: &SystemSpec,
     opts: &CompilerOptions,
     cfg: &SimConfig,
 ) -> Result<(Run, sara_core::shard::ShardPlan), String> {
-    let interp = Interp::new(p).run().map_err(|e| format!("interp: {e}"))?.stats;
+    let reference = Interp::new(p).run().map_err(|e| format!("interp: {e}"))?;
     let mut compiled = compile(p, &system.chip, opts).map_err(|e| format!("compile: {e}"))?;
     let pnr =
         sara_pnr::place_and_route_system(&mut compiled.vudfg, &compiled.assignment, system, 17)
             .map_err(|e| format!("pnr: {e}"))?;
     let outcome = simulate_system(&compiled.vudfg, system, &pnr.plan, cfg)
         .map_err(|e| format!("sim: {e}"))?;
-    Ok((Run { compiled, outcome, interp }, pnr.plan))
+    verify_dram(p, &reference, &outcome).map_err(|e| format!("verify: {e}"))?;
+    Ok((Run { compiled, outcome, interp: reference.stats }, pnr.plan))
 }
 
 /// Compile, place-and-route, and simulate a registry workload by name.
@@ -175,16 +181,22 @@ pub fn run_workload(name: &str, chip: &ChipSpec, opts: &CompilerOptions) -> Resu
     run(&w.program, chip, opts)
 }
 
-/// Compile and simulate through the vanilla-Plasticine (PC) baseline.
+/// Compile and simulate through the vanilla-Plasticine (PC) baseline,
+/// checked against the interpreter as [`run`] is.
+///
+/// # Errors
+///
+/// As [`run`].
 pub fn run_pc(p: &Program, chip: &ChipSpec) -> Result<Run, String> {
-    let interp = Interp::new(p).run().map_err(|e| format!("interp: {e}"))?.stats;
+    let reference = Interp::new(p).run().map_err(|e| format!("interp: {e}"))?;
     let mut compiled = sara_baselines::pc::compile_pc(p, chip).map_err(|e| format!("pc: {e}"))?;
     sara_pnr::place_and_route(&mut compiled.vudfg, &compiled.assignment, chip, 17)
         .map_err(|e| format!("pnr: {e}"))?;
     sara_baselines::pc::apply_hierarchical_control(&mut compiled);
     let outcome =
         simulate(&compiled.vudfg, chip, &sim_config()).map_err(|e| format!("sim: {e}"))?;
-    Ok(Run { compiled, outcome, interp })
+    verify_dram(p, &reference, &outcome).map_err(|e| format!("verify: {e}"))?;
+    Ok(Run { compiled, outcome, interp: reference.stats })
 }
 
 /// Write a result set to `results/<name>.json` (repo root), returning the

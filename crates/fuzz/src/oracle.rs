@@ -20,7 +20,7 @@ use plasticine_sim::{simulate, simulate_system, SimConfig, SimOutcome};
 use sara_core::compile::{compile, CompilerOptions};
 use sara_core::shard::ShardPlan;
 use sara_ir::interp::Interp;
-use sara_ir::{MemKind, Program};
+use sara_ir::Program;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Pipeline stage at which an outcome was decided.
@@ -174,37 +174,8 @@ impl Oracle {
         };
 
         // ---- fabric vs interpreter ----
-        for (mi, m) in p.mems.iter().enumerate() {
-            if m.kind != MemKind::Dram {
-                continue;
-            }
-            let mem = sara_ir::MemId(mi as u32);
-            let Some(got) = active.dram_final.get(&mem) else {
-                return Verdict::Failure {
-                    kind: FailureKind::ResultDivergence,
-                    detail: format!("DRAM {} missing from fabric image", m.name),
-                };
-            };
-            let want = &reference.mem[mi];
-            if want.len() != got.len() {
-                return Verdict::Failure {
-                    kind: FailureKind::ResultDivergence,
-                    detail: format!(
-                        "DRAM {}: length {} vs interpreter {}",
-                        m.name,
-                        got.len(),
-                        want.len()
-                    ),
-                };
-            }
-            for (i, (w, g)) in want.iter().zip(got).enumerate() {
-                if !elems_close(*w, *g) {
-                    return Verdict::Failure {
-                        kind: FailureKind::ResultDivergence,
-                        detail: format!("DRAM {}[{i}]: fabric {g:?} vs interpreter {w:?}", m.name),
-                    };
-                }
-            }
+        if let Err(detail) = plasticine_sim::verify_dram(p, &reference, &active) {
+            return Verdict::Failure { kind: FailureKind::ResultDivergence, detail };
         }
 
         // ---- the same graph split over two chips ----
@@ -399,23 +370,6 @@ fn scheduler_diff(dense: &SimOutcome, active: &SimOutcome) -> Option<String> {
         return Some("dram image divergence".to_string());
     }
     None
-}
-
-/// Float comparison with the same tolerance the existing differential
-/// tests use (1e-9 relative); integers compare exactly.
-fn elems_close(a: sara_ir::Elem, b: sara_ir::Elem) -> bool {
-    use sara_ir::Elem;
-    match (a, b) {
-        (Elem::I64(x), Elem::I64(y)) => x == y,
-        (Elem::F64(x), Elem::F64(y)) => {
-            if x.is_nan() && y.is_nan() {
-                return true;
-            }
-            let scale = x.abs().max(y.abs()).max(1.0);
-            (x - y).abs() <= 1e-9 * scale
-        }
-        _ => false,
-    }
 }
 
 #[cfg(test)]

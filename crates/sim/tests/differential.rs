@@ -362,3 +362,40 @@ fn pipelining_overlaps_stages() {
         o2.cycles
     );
 }
+
+/// `verify_dram` accepts the fabric's image, forgives float noise within
+/// 1e-9 relative, and names the tensor and the index of a planted
+/// difference.
+#[test]
+fn verify_dram_names_a_planted_mismatch() {
+    use plasticine_sim::verify_dram;
+    let p = vec_add(16, 1);
+    let out = MemId(2);
+    assert_eq!(p.mem(out).name, "o");
+    let reference = Interp::new(&p).run().expect("interpreter runs");
+    let good = check(&p, &ChipSpec::tiny_4x4(), &default_opts());
+    assert_eq!(verify_dram(&p, &reference, &good), Ok(()));
+
+    let planted = |f: &dyn Fn(&mut Vec<Elem>)| {
+        let mut bad = good.clone();
+        f(bad.dram_final.get_mut(&out).expect("o is in the image"));
+        verify_dram(&p, &reference, &bad)
+    };
+    let nudge = |by: f64| move |img: &mut Vec<Elem>| img[5] = Elem::F64(img[5].as_f64() + by);
+    assert_eq!(planted(&nudge(1e-12)), Ok(()));
+    let e = planted(&nudge(1e-3)).unwrap_err();
+    assert!(e.starts_with("DRAM o[5]: fabric F64("), "{e}");
+    let e = planted(&|img| img[7] = Elem::I64(img[7].as_i64())).unwrap_err();
+    assert!(e.starts_with("DRAM o[7]: fabric I64("), "{e}");
+    let e = planted(&|img| {
+        img.pop();
+    })
+    .unwrap_err();
+    assert_eq!(e, "DRAM o: length 15 vs interpreter 16");
+    let mut missing = good.clone();
+    missing.dram_final.remove(&out);
+    assert_eq!(
+        verify_dram(&p, &reference, &missing).unwrap_err(),
+        "DRAM o missing from fabric image"
+    );
+}
