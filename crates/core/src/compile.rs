@@ -6,7 +6,7 @@ use crate::assign::{self, AssignOptions, Assignment};
 use crate::cmmc::CmmcStats;
 use crate::error::CompileError;
 use crate::lower::{self, LowerOptions, Lowered};
-use crate::opt::{self, OptConfig, OptStats};
+use crate::opt::{OptConfig, OptStats};
 use crate::partition::Algo;
 use crate::report::ResourceReport;
 use crate::vudfg::Vudfg;
@@ -74,8 +74,6 @@ pub fn compile(
     let lowered: Lowered = lower::lower(p, chip, &opts.lower)?;
     let mut g = lowered.vudfg;
     crate::vudfg_validate::validate(&g).map_err(CompileError::Internal)?;
-    let mut opt_stats = opt::optimize(&mut g, &opts.opt);
-    opt_stats.rtelm_removed += rtelm_removed;
     let assignment = assign::assign(
         &mut g,
         chip,
@@ -90,7 +88,7 @@ pub fn compile(
         vudfg: g,
         report: assignment.report,
         cmmc_stats: lowered.cmmc.stats,
-        opt_stats,
+        opt_stats: OptStats { rtelm_removed },
         assignment,
     })
 }

@@ -1,8 +1,14 @@
-//! Performance and resource optimizations (paper §III-C): placeholder
-//! module shell; the individual passes live in submodules added during
-//! compilation-flow construction.
+//! Performance and resource optimizations (paper §III-C): the switches and
+//! statistics. Each pass lives where it is naturally expressed:
+//! * `rtelm` rewrites the IR before lowering ([`crate::opt_ir::rtelm`]);
+//! * `msr` is structural — constant/affine addresses statically resolve
+//!   to point-to-point streams at banking time (see [`crate::opt_ir`]
+//!   module docs);
+//! * `xbar_elm` is a lowering wiring decision (bank-address computation is
+//!   duplicated into each lane's request unit rather than forwarded);
+//! * `retime`/`retime_m` run during assignment, where post-partitioning
+//!   path delays are known ([`crate::assign`]).
 
-use crate::vudfg::Vudfg;
 use serde::{Deserialize, Serialize};
 
 /// Which optimizations are enabled (the Fig 10 ablation axes).
@@ -41,25 +47,6 @@ impl OptConfig {
 /// Statistics of one optimization run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OptStats {
-    pub msr_converted: usize,
+    /// Route-through memories eliminated.
     pub rtelm_removed: usize,
-    pub retime_inserted: usize,
-    pub xbar_dup: usize,
-}
-
-/// Apply the enabled VUDFG-level optimizations in place and return
-/// statistics.
-///
-/// The §III-C passes are distributed across the pipeline where each is
-/// naturally expressed:
-/// * `rtelm` rewrites the IR before lowering ([`crate::opt_ir::rtelm`]);
-/// * `msr` is structural — constant/affine addresses statically resolve
-///   to point-to-point streams at banking time (see [`crate::opt_ir`]
-///   module docs);
-/// * `xbar_elm` is a lowering wiring decision (bank-address computation is
-///   duplicated into each lane's request unit rather than forwarded);
-/// * `retime`/`retime_m` run during assignment, where post-partitioning
-///   path delays are known ([`crate::assign`]).
-pub fn optimize(_g: &mut Vudfg, _cfg: &OptConfig) -> OptStats {
-    OptStats::default()
 }
