@@ -134,21 +134,22 @@ impl MemDecl {
         self.kind == MemKind::Reg && self.size() == 1
     }
 
-    /// Row-major flattening of a multi-dimensional address.
+    /// Row-major flattening of a multi-dimensional address. Takes the
+    /// coordinates as an iterator, so callers need not collect them.
     ///
-    /// Returns `None` if any coordinate is out of range.
-    pub fn flatten(&self, coords: &[i64]) -> Option<i64> {
-        if coords.len() != self.dims.len() {
-            return None;
-        }
+    /// Returns `None` if the coordinate count differs from the rank or any
+    /// coordinate is out of range.
+    pub fn flatten(&self, coords: impl IntoIterator<Item = i64>) -> Option<i64> {
+        let mut coords = coords.into_iter();
         let mut flat: i64 = 0;
-        for (c, d) in coords.iter().zip(&self.dims) {
-            if *c < 0 || *c >= *d as i64 {
+        for &d in &self.dims {
+            let c = coords.next()?;
+            if c < 0 || c >= d as i64 {
                 return None;
             }
-            flat = flat * *d as i64 + c;
+            flat = flat * d as i64 + c;
         }
-        Some(flat)
+        coords.next().is_none().then_some(flat)
     }
 
     /// Row-major strides of the tensor shape.
@@ -185,11 +186,12 @@ mod tests {
     #[test]
     fn flatten_row_major() {
         let m = decl(&[2, 3]);
-        assert_eq!(m.flatten(&[0, 0]), Some(0));
-        assert_eq!(m.flatten(&[1, 2]), Some(5));
-        assert_eq!(m.flatten(&[2, 0]), None);
-        assert_eq!(m.flatten(&[0, -1]), None);
-        assert_eq!(m.flatten(&[0]), None);
+        assert_eq!(m.flatten([0, 0]), Some(0));
+        assert_eq!(m.flatten([1, 2]), Some(5));
+        assert_eq!(m.flatten([2, 0]), None);
+        assert_eq!(m.flatten([0, -1]), None);
+        assert_eq!(m.flatten([0]), None);
+        assert_eq!(m.flatten([0, 0, 0]), None);
     }
 
     #[test]
