@@ -6,7 +6,7 @@
 //! executed program").
 
 use plasticine_arch::ChipSpec;
-use plasticine_sim::{simulate, SimConfig};
+use plasticine_sim::{simulate, verify_dram, SimConfig};
 use sara_core::compile::{compile, CompilerOptions};
 use sara_ir::interp::Interp;
 use sara_ir::{BinOp, Bound, DType, Elem, LoopSpec, MemId, MemInit, Program, UnOp};
@@ -21,26 +21,7 @@ fn check(p: &Program, chip: &ChipSpec, opts: &CompilerOptions) -> plasticine_sim
         .unwrap_or_else(|e| panic!("pnr {}: {e}", p.name));
     let outcome = simulate(&compiled.vudfg, chip, &SimConfig::default())
         .unwrap_or_else(|e| panic!("sim {}: {e}", p.name));
-    for (mi, m) in p.mems.iter().enumerate() {
-        if m.kind != sara_ir::MemKind::Dram {
-            continue;
-        }
-        let mem = MemId(mi as u32);
-        let expect = &reference.mem[mem.index()];
-        let got = &outcome.dram_final[&mem];
-        for (i, (e, g)) in expect.iter().zip(got).enumerate() {
-            // Reductions are tree-reassociated on the fabric, so float
-            // results may differ in the last bits; integers stay exact.
-            let ok = match (e, g) {
-                (sara_ir::Elem::F64(a), sara_ir::Elem::F64(b)) => {
-                    let scale = a.abs().max(b.abs()).max(1.0);
-                    (a - b).abs() <= 1e-9 * scale
-                }
-                _ => e.bit_eq(*g),
-            };
-            assert!(ok, "{}: {}[{}]: interp {:?} vs sim {:?}", p.name, m.name, i, e, g);
-        }
-    }
+    verify_dram(p, &reference, &outcome).unwrap_or_else(|e| panic!("{}: {e}", p.name));
     outcome
 }
 
@@ -368,7 +349,6 @@ fn pipelining_overlaps_stages() {
 /// difference.
 #[test]
 fn verify_dram_names_a_planted_mismatch() {
-    use plasticine_sim::verify_dram;
     let p = vec_add(16, 1);
     let out = MemId(2);
     assert_eq!(p.mem(out).name, "o");

@@ -9,7 +9,7 @@
 //! deterministic, reproducible by case index.
 
 use plasticine_arch::ChipSpec;
-use plasticine_sim::{simulate, SimConfig, SimOutcome};
+use plasticine_sim::{simulate, verify_dram, SimConfig, SimOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sara_core::compile::{compile, CompilerOptions};
@@ -44,7 +44,7 @@ fn sample_pipeline(rng: &mut SmallRng) -> PipelineCfg {
 
 /// Build: load tile from DRAM → `stages` elementwise stages through
 /// scratchpads → write back (optionally a reduction instead).
-fn build(cfg: &PipelineCfg) -> (Program, MemId) {
+fn build(cfg: &PipelineCfg) -> Program {
     let n = (cfg.outer_trip * cfg.tile) as usize;
     let mut p = Program::new("prop");
     let root = p.root();
@@ -110,7 +110,7 @@ fn build(cfg: &PipelineCfg) -> (Program, MemId) {
             p.store(hb, dst, &[a], x).unwrap();
         }
     }
-    (p, dst)
+    p
 }
 
 /// Simulate under both schedulers, assert bit-identical outcomes, return
@@ -133,13 +133,7 @@ fn simulate_both(
     active
 }
 
-fn check_against_interpreter(
-    p: &Program,
-    dst: MemId,
-    seed: u64,
-    relax: bool,
-    ctx: &dyn std::fmt::Debug,
-) {
+fn check_against_interpreter(p: &Program, seed: u64, relax: bool, ctx: &dyn std::fmt::Debug) {
     p.validate().unwrap();
     let reference = Interp::new(p).run().unwrap();
     let mut opts = CompilerOptions::default();
@@ -148,13 +142,7 @@ fn check_against_interpreter(
     let mut compiled = compile(p, &chip, &opts).unwrap();
     sara_pnr::place_and_route(&mut compiled.vudfg, &compiled.assignment, &chip, seed).unwrap();
     let outcome = simulate_both(&compiled.vudfg, &chip, ctx);
-    let want = reference.mem_f64(dst);
-    let got = outcome.dram_f64(dst);
-    assert_eq!(want.len(), got.len(), "length mismatch ({ctx:?})");
-    for (i, (a, b)) in want.iter().zip(&got).enumerate() {
-        let scale = a.abs().max(b.abs()).max(1.0);
-        assert!((a - b).abs() <= 1e-9 * scale, "dst[{i}]: {a} vs {b} ({ctx:?})");
-    }
+    verify_dram(p, &reference, &outcome).unwrap_or_else(|e| panic!("{e} ({ctx:?})"));
 }
 
 /// Replays corpus entry `d63f6fb2…` from
@@ -175,8 +163,8 @@ fn corpus_ragged_vector_reduce_tail() {
         reduce_tail: true,
         seed: 0,
     };
-    let (p, dst) = build(&cfg);
-    check_against_interpreter(&p, dst, cfg.seed, cfg.relax, &("corpus", &cfg));
+    let p = build(&cfg);
+    check_against_interpreter(&p, cfg.seed, cfg.relax, &("corpus", &cfg));
 }
 
 #[test]
@@ -184,8 +172,8 @@ fn random_pipelines_match_interpreter() {
     let mut rng = SmallRng::seed_from_u64(0xD1FF);
     for case in 0..24 {
         let cfg = sample_pipeline(&mut rng);
-        let (p, dst) = build(&cfg);
-        check_against_interpreter(&p, dst, cfg.seed, cfg.relax, &(case, &cfg));
+        let p = build(&cfg);
+        check_against_interpreter(&p, cfg.seed, cfg.relax, &(case, &cfg));
     }
 }
 
@@ -212,7 +200,7 @@ fn sample_branchy(rng: &mut SmallRng) -> BranchyCfg {
     }
 }
 
-fn build_branchy(cfg: &BranchyCfg) -> (Program, MemId) {
+fn build_branchy(cfg: &BranchyCfg) -> Program {
     let mut p = Program::new("propbr");
     let root = p.root();
     let src = p.dram(
@@ -253,7 +241,7 @@ fn build_branchy(cfg: &BranchyCfg) -> (Program, MemId) {
     let last = p.is_last(he, le).unwrap();
     let ia2 = p.idx(he, la).unwrap();
     p.store_if(he, dst, &[ia2], acc, last).unwrap();
-    (p, dst)
+    p
 }
 
 #[test]
@@ -261,7 +249,7 @@ fn random_branchy_programs_match_interpreter() {
     let mut rng = SmallRng::seed_from_u64(0xB4A2);
     for case in 0..16 {
         let cfg = sample_branchy(&mut rng);
-        let (p, dst) = build_branchy(&cfg);
-        check_against_interpreter(&p, dst, cfg.seed, false, &(case, &cfg));
+        let p = build_branchy(&cfg);
+        check_against_interpreter(&p, cfg.seed, false, &(case, &cfg));
     }
 }

@@ -10,11 +10,10 @@
 //! diagnostic must name the stalled VCUs and backpressured streams.
 
 use plasticine_arch::ChipSpec;
-use plasticine_sim::{simulate, SimConfig, SimError};
+use plasticine_sim::{simulate, verify_dram, SimConfig, SimError};
 use sara_core::compile::{compile, CompilerOptions};
 use sara_core::vudfg::StreamKind;
 use sara_ir::interp::Interp;
-use sara_ir::{MemId, MemKind};
 
 /// Simulate under both schedulers, assert identical outcomes, and check
 /// every DRAM tensor against the interpreter.
@@ -37,27 +36,7 @@ fn check_workload(name: &str, chip: &ChipSpec, pnr_seed: u64) {
     assert_eq!(active.stats.dram, dense.stats.dram, "{name}: dram stats");
     assert_eq!(active.dram_final, dense.dram_final, "{name}: dram image");
 
-    for (mi, m) in p.mems.iter().enumerate() {
-        if m.kind != MemKind::Dram {
-            continue;
-        }
-        let mem = MemId(mi as u32);
-        let expect = &reference.mem[mem.index()];
-        let got = &active.dram_final[&mem];
-        assert_eq!(expect.len(), got.len(), "{name}: {} length", m.name);
-        for (i, (e, g)) in expect.iter().zip(got).enumerate() {
-            // Reductions are tree-reassociated on the fabric, so float
-            // results may differ in the last bits; integers stay exact.
-            let ok = match (e, g) {
-                (sara_ir::Elem::F64(a), sara_ir::Elem::F64(b)) => {
-                    let scale = a.abs().max(b.abs()).max(1.0);
-                    (a - b).abs() <= 1e-9 * scale
-                }
-                _ => e.bit_eq(*g),
-            };
-            assert!(ok, "{name}: {}[{i}]: interp {e:?} vs sim {g:?}", m.name);
-        }
-    }
+    verify_dram(p, &reference, &active).unwrap_or_else(|e| panic!("{name}: {e}"));
 }
 
 #[test]

@@ -3,10 +3,10 @@
 //! interpreter's bit-for-bit on every DRAM tensor.
 
 use plasticine_arch::ChipSpec;
-use plasticine_sim::{simulate, SimConfig};
+use plasticine_sim::{simulate, verify_dram, SimConfig};
 use sara_core::compile::{compile, CompilerOptions};
 use sara_ir::interp::Interp;
-use sara_ir::{MemId, MemKind, Program};
+use sara_ir::Program;
 
 fn check(p: &Program, chip: &ChipSpec, opts: &CompilerOptions) -> u64 {
     p.validate().expect("valid");
@@ -16,26 +16,7 @@ fn check(p: &Program, chip: &ChipSpec, opts: &CompilerOptions) -> u64 {
         .unwrap_or_else(|e| panic!("pnr {}: {e}", p.name));
     let outcome = simulate(&compiled.vudfg, chip, &SimConfig::default())
         .unwrap_or_else(|e| panic!("sim {}: {e}", p.name));
-    for (mi, m) in p.mems.iter().enumerate() {
-        if m.kind != MemKind::Dram {
-            continue;
-        }
-        let mem = MemId(mi as u32);
-        let expect = &reference.mem[mem.index()];
-        let got = &outcome.dram_final[&mem];
-        for (i, (e, g)) in expect.iter().zip(got).enumerate() {
-            // Reductions are tree-reassociated on the fabric, so float
-            // results may differ in the last bits; integers stay exact.
-            let ok = match (e, g) {
-                (sara_ir::Elem::F64(a), sara_ir::Elem::F64(b)) => {
-                    let scale = a.abs().max(b.abs()).max(1.0);
-                    (a - b).abs() <= 1e-9 * scale
-                }
-                _ => e.bit_eq(*g),
-            };
-            assert!(ok, "{}: {}[{i}]: interp {e:?} vs sim {g:?}", p.name, m.name);
-        }
-    }
+    verify_dram(p, &reference, &outcome).unwrap_or_else(|e| panic!("{}: {e}", p.name));
     outcome.cycles
 }
 

@@ -3,10 +3,9 @@
 //! baselines, on real workloads.
 
 use plasticine_arch::ChipSpec;
-use plasticine_sim::{simulate, SimConfig};
+use plasticine_sim::{simulate, verify_dram, SimConfig};
 use sara_core::compile::{compile, CompilerOptions};
 use sara_ir::interp::Interp;
-use sara_ir::{MemId, MemKind};
 
 /// Every registered workload compiles, places, simulates and matches the
 /// interpreter — the repository's headline invariant, exercised from the
@@ -23,21 +22,7 @@ fn all_workloads_end_to_end() {
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let outcome = simulate(&compiled.vudfg, &chip, &SimConfig::default())
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        for (mi, m) in p.mems.iter().enumerate() {
-            if m.kind != MemKind::Dram {
-                continue;
-            }
-            let mem = MemId(mi as u32);
-            for (e, g) in reference.mem[mem.index()].iter().zip(&outcome.dram_final[&mem]) {
-                let ok = match (e, g) {
-                    (sara_ir::Elem::F64(a), sara_ir::Elem::F64(b)) => {
-                        (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
-                    }
-                    _ => e.bit_eq(*g),
-                };
-                assert!(ok, "{}: {e:?} vs {g:?}", w.name);
-            }
-        }
+        verify_dram(p, &reference, &outcome).unwrap_or_else(|e| panic!("{}: {e}", w.name));
     }
 }
 
