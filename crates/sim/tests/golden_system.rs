@@ -74,14 +74,10 @@ const HALVED_2CHIP_BW1: &[(&str, u64)] = &[
     ("rf", 1217),
 ];
 
-/// The three scheduler configurations every multi-chip golden must hold
+/// The two scheduler configurations every multi-chip golden must hold
 /// under.
-fn schedulers() -> [(&'static str, SimConfig); 3] {
-    [
-        ("dense", SimConfig::dense()),
-        ("active", SimConfig::default()),
-        ("active, batch off", SimConfig { batch: false, ..SimConfig::default() }),
-    ]
+fn schedulers() -> [(&'static str, SimConfig); 2] {
+    [("dense", SimConfig::dense()), ("active", SimConfig::default())]
 }
 
 /// Simulate `g` on `system` under `plan` with every scheduler, checking
