@@ -47,6 +47,9 @@ use sara_core::vudfg::{UnitKind, Vudfg};
 /// cannot consume unbounded memory.
 const SEGMENT_CAP: usize = 1 << 16;
 
+/// Width in cycles of each DRAM timeline bin ([`SimProfile::epoch_cycles`]).
+const EPOCH_CYCLES: u64 = 1024;
+
 /// Cycle-attribution accumulator for one VCU.
 struct VcuAcct {
     label: String,
@@ -126,7 +129,6 @@ struct StreamAcct {
 
 /// Observes a running simulation and assembles a [`SimProfile`].
 pub struct Profiler {
-    epoch_cycles: u64,
     /// VCU accumulator index per unit index (`None` for non-VCUs).
     vcu_of_unit: Vec<Option<usize>>,
     vcus: Vec<VcuAcct>,
@@ -142,7 +144,7 @@ pub struct Profiler {
 impl Profiler {
     /// Build a collector for a graph whose runtime streams are already
     /// constructed (initial token occupancy seeds the high-water marks).
-    pub fn new(g: &Vudfg, streams: &[StreamRt], epoch_cycles: u64) -> Self {
+    pub fn new(g: &Vudfg, streams: &[StreamRt]) -> Self {
         let mut vcu_of_unit = Vec::with_capacity(g.units.len());
         let mut vcus = Vec::new();
         let mut unit_streams = Vec::with_capacity(g.units.len());
@@ -187,7 +189,6 @@ impl Profiler {
         let src_is_ag =
             g.streams.iter().map(|s| matches!(g.unit(s.src).kind, UnitKind::Ag(_))).collect();
         Profiler {
-            epoch_cycles: epoch_cycles.max(1),
             vcu_of_unit,
             vcus,
             unit_streams,
@@ -274,9 +275,9 @@ impl Profiler {
         if d.read_bytes == 0 && d.write_bytes == 0 && d.row_hits == 0 && d.row_misses == 0 {
             return;
         }
-        let bin = (now / self.epoch_cycles) as usize;
+        let bin = (now / EPOCH_CYCLES) as usize;
         while self.dram_epochs.len() <= bin {
-            let start_cycle = self.dram_epochs.len() as u64 * self.epoch_cycles;
+            let start_cycle = self.dram_epochs.len() as u64 * EPOCH_CYCLES;
             self.dram_epochs.push(DramEpoch { start_cycle, ..DramEpoch::default() });
         }
         let e = &mut self.dram_epochs[bin];
@@ -306,7 +307,7 @@ impl Profiler {
             .collect();
         SimProfile {
             cycles,
-            epoch_cycles: self.epoch_cycles,
+            epoch_cycles: EPOCH_CYCLES,
             vcus,
             streams: stream_profiles,
             dram_epochs: self.dram_epochs,
