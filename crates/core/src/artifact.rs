@@ -848,8 +848,6 @@ mod tests {
         let base = options_canon(&opts);
         opts.opt.retime = false;
         assert_ne!(base, options_canon(&opts), "flag flip must change the canon text");
-        opts.streams_per_ag = 8;
-        assert_ne!(base, options_canon(&opts));
 
         let w = sara_workloads::by_name("dotprod").unwrap();
         let mut p = w.program.clone();

@@ -2,38 +2,17 @@
 //! merging, retiming-buffer insertion and resource accounting (paper
 //! §III-B and the retiming part of §III-C).
 
+use crate::compile::CompilerOptions;
 use crate::error::CompileError;
 use crate::merge::{self, MergePlan};
-use crate::opt::OptConfig;
-use crate::partition::{partition, Algo, Problem};
+use crate::partition::{partition, Problem};
 use crate::report::ResourceReport;
 use crate::vudfg::{StreamKind, UnitId, UnitKind, Vudfg};
 use plasticine_arch::{ChipSpec, PartitionConstraints, PuType};
 use std::collections::HashMap;
 
-/// Options for the assignment phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AssignOptions {
-    /// Algorithm for per-unit compute partitioning.
-    pub partition_algo: Algo,
-    /// Algorithm for global merging.
-    pub merge_algo: Algo,
-    /// Optimization switches (retiming behaviour).
-    pub opt: OptConfig,
-    /// Logical DRAM streams one physical AG can serve.
-    pub streams_per_ag: u32,
-}
-
-impl Default for AssignOptions {
-    fn default() -> Self {
-        AssignOptions {
-            partition_algo: Algo::BestTraversal,
-            merge_algo: Algo::BestTraversal,
-            opt: OptConfig::default(),
-            streams_per_ag: 4,
-        }
-    }
-}
+/// Logical DRAM streams one physical AG can serve.
+const STREAMS_PER_AG: usize = 4;
 
 /// The assignment result.
 #[derive(Debug, Clone)]
@@ -61,7 +40,7 @@ pub struct Assignment {
 pub fn assign(
     g: &mut Vudfg,
     chip: &ChipSpec,
-    opts: &AssignOptions,
+    opts: &CompilerOptions,
 ) -> Result<Assignment, CompileError> {
     let cons = PartitionConstraints::of_pcu(&chip.pcu);
     let ts = chip.pcu.transcendental_stages;
@@ -128,7 +107,7 @@ pub fn assign(
             }
         }
     }
-    let ags = ag_units.div_ceil(opts.streams_per_ag.max(1) as usize);
+    let ags = ag_units.div_ceil(STREAMS_PER_AG);
 
     // ---- retiming (§III-C retime / retime-m) ----
     let mut retime_units = 0usize;
@@ -254,7 +233,7 @@ mod tests {
         // 14 ops on a 6-stage PCU => 3 partitions
         let u = add_vcu(&mut g, 14);
         let chip = ChipSpec::tiny_4x4();
-        let a = assign(&mut g, &chip, &AssignOptions::default()).unwrap();
+        let a = assign(&mut g, &chip, &CompilerOptions::default()).unwrap();
         assert_eq!(a.unit_parts[&u], 3);
         assert!(a.report.pcus >= 3);
         assert!(a.extra_latency[&u] > 0);
@@ -267,7 +246,7 @@ mod tests {
         let b = add_vcu(&mut g, 2);
         g.connect(a, b, StreamKind::Scalar, 4, "s");
         let chip = ChipSpec::tiny_4x4();
-        let r = assign(&mut g, &chip, &AssignOptions::default()).unwrap();
+        let r = assign(&mut g, &chip, &CompilerOptions::default()).unwrap();
         assert_eq!(r.report.pcus, 1);
     }
 
@@ -285,7 +264,7 @@ mod tests {
         let (short, _, _) = g.connect(a, d, StreamKind::Scalar, 4, "ad");
         let chip = ChipSpec::tiny_4x4();
         let before = g.stream(short).depth;
-        let _ = assign(&mut g, &chip, &AssignOptions::default()).unwrap();
+        let _ = assign(&mut g, &chip, &CompilerOptions::default()).unwrap();
         assert!(g.stream(short).depth > before, "short path must gain buffering");
         assert_eq!(g.stream(long).depth, 4, "deep path unchanged");
     }
@@ -300,7 +279,7 @@ mod tests {
         g.connect(b, c, StreamKind::Scalar, 4, "bc");
         let (s, _, _) = g.connect(a, c, StreamKind::Scalar, 4, "ac");
         let chip = ChipSpec::tiny_4x4();
-        let mut opts = AssignOptions::default();
+        let mut opts = CompilerOptions::default();
         opts.opt.retime = false;
         let r = assign(&mut g, &chip, &opts).unwrap();
         assert_eq!(g.stream(s).depth, 4);

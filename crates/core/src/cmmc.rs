@@ -26,9 +26,6 @@ pub enum DepKind {
     Raw,
     War,
     Waw,
-    /// Read-after-read, enforced only for PMU-backed memories because the
-    /// Plasticine PMU serves a single read request stream at a time.
-    Rar,
 }
 
 /// A synchronization edge to realize with a token stream.
@@ -79,13 +76,6 @@ pub struct CmmcOptions {
     /// Apply transitive reduction + LCD subsumption (paper §III-A3). When
     /// off, every dependency edge gets its own token (the naive scheme).
     pub reduce: bool,
-    /// Order read-after-read on PMU-backed memories with tokens. The
-    /// Plasticine PMU serves one read request stream at a time; this
-    /// reproduction models that *structurally* (the simulated VMU
-    /// arbitrates one read port per cycle), so explicit RAR tokens are
-    /// redundant and default off. Enable for strict stream-serialized
-    /// reads.
-    pub order_rar: bool,
     /// Relax backward credits to the multibuffer depth when the enclosing
     /// schedule is pipelined and the address analysis allows it. When off,
     /// all credits are 1 (sequential-consistent hierarchical execution).
@@ -97,7 +87,7 @@ pub struct CmmcOptions {
 
 impl Default for CmmcOptions {
     fn default() -> Self {
-        CmmcOptions { reduce: true, order_rar: false, relax_credits: true, multibuffer: 2 }
+        CmmcOptions { reduce: true, relax_credits: true, multibuffer: 2 }
     }
 }
 
@@ -161,7 +151,10 @@ fn dep_kind(a_write: bool, b_write: bool) -> Option<DepKind> {
         (true, true) => Some(DepKind::Waw),
         (true, false) => Some(DepKind::Raw),
         (false, true) => Some(DepKind::War),
-        (false, false) => None, // RAR decided by memory kind at the call site
+        // Reads need no token: the Plasticine PMU serves one read stream
+        // at a time, and the simulated VMU models that with its single
+        // read port.
+        (false, false) => None,
     }
 }
 
@@ -171,9 +164,6 @@ fn synthesize_mem(p: &Program, mem: MemId, opts: &CmmcOptions, plan: &mut CmmcPl
         return;
     }
     let kind = p.mem(mem).kind;
-    // RAR ordering is a PMU restriction: a PMU serves one read stream at a
-    // time. DRAM interfaces and broadcast registers allow concurrent reads.
-    let order_rar = opts.order_rar && kind == MemKind::Sram;
     // FIFOs are inherently ordered streams: producers/consumers pair
     // elementwise, and the lowering maps them to input buffers; ordering
     // tokens would deadlock genuinely streaming producers/consumers.
@@ -187,12 +177,7 @@ fn synthesize_mem(p: &Program, mem: MemId, opts: &CmmcOptions, plan: &mut CmmcPl
     for i in 0..n {
         for j in (i + 1)..n {
             let (a, b) = (&accs[i], &accs[j]);
-            let dep = match dep_kind(a.is_write, b.is_write) {
-                Some(d) => Some(d),
-                None if order_rar => Some(DepKind::Rar),
-                None => None,
-            };
-            let Some(dep) = dep else { continue };
+            let Some(dep) = dep_kind(a.is_write, b.is_write) else { continue };
             // Mutually exclusive accesses (different branch arms, Fig 5b)
             // cannot conflict within one iteration, but their streams
             // still need cross-iteration ordering: the forward token is
@@ -206,11 +191,11 @@ fn synthesize_mem(p: &Program, mem: MemId, opts: &CmmcOptions, plan: &mut CmmcPl
                 // The backward edge carries the reversed hazard: if the
                 // forward dependency is RAW (write then read), the
                 // loop-carried one is WAR (the next write must wait for
-                // this read), and vice versa. WAW/RAR stay symmetric.
+                // this read), and vice versa. WAW stays symmetric.
                 let back_dep = match dep {
                     DepKind::Raw => DepKind::War,
                     DepKind::War => DepKind::Raw,
-                    other => other,
+                    DepKind::Waw => DepKind::Waw,
                 };
                 back.push(BackEdge { from: j, to: i, lcd_loop: l, dep: back_dep });
             }
@@ -253,6 +238,8 @@ fn synthesize_mem(p: &Program, mem: MemId, opts: &CmmcOptions, plan: &mut CmmcPl
     let mut edges: Vec<TokenEdge> = Vec::new();
     for (i, j) in fwd_red.edges() {
         let (a, b) = (&accs[i], &accs[j]);
+        // Reduction only removes edges, so every survivor has a kind.
+        let Some(dep) = dep_kind(a.is_write, b.is_write) else { continue };
         let lca = p.lca(a.id.hb, b.id.hb);
         edges.push(TokenEdge {
             src: a.id,
@@ -260,15 +247,7 @@ fn synthesize_mem(p: &Program, mem: MemId, opts: &CmmcOptions, plan: &mut CmmcPl
             src_level: p.child_toward(lca, a.id.hb),
             dst_level: p.child_toward(lca, b.id.hb),
             init: 0,
-            dep: if a.is_write && !b.is_write {
-                DepKind::Raw
-            } else if !a.is_write && b.is_write {
-                DepKind::War
-            } else if a.is_write {
-                DepKind::Waw
-            } else {
-                DepKind::Rar
-            },
+            dep,
             lcd_loop: None,
         });
     }
@@ -571,30 +550,6 @@ mod tests {
         assert_eq!(fwd.init, 0);
         let bwd = m_edges.iter().find(|e| e.lcd_loop.is_some()).expect("backward edge");
         assert_eq!(bwd.lcd_loop, Some(a));
-    }
-
-    #[test]
-    fn rar_ordered_for_sram_not_dram() {
-        let mut p = Program::new("rar");
-        let root = p.root();
-        let s = p.sram("s", &[8], DType::F64);
-        let d = p.dram("d", &[8], DType::F64, MemInit::Zero);
-        for (n, mem) in [("l1", s), ("l2", s), ("l3", d), ("l4", d)] {
-            let l = p.add_loop(root, n, LoopSpec::new(0, 8, 1)).unwrap();
-            let hb = p.add_leaf(l, n).unwrap();
-            let i = p.idx(hb, l).unwrap();
-            p.load(hb, mem, &[i]).unwrap();
-        }
-        p.validate().unwrap();
-        let plan = synthesize(&p, &CmmcOptions { order_rar: true, ..CmmcOptions::default() });
-        let sram_edges = plan.edges.iter().filter(|e| e.dep == DepKind::Rar).count();
-        // the two SRAM reads are RAR-ordered; the DRAM reads are not
-        assert!(sram_edges >= 1);
-        let dram_accs = p.accesses_of(d);
-        assert!(plan
-            .edges
-            .iter()
-            .all(|e| !dram_accs.iter().any(|a| a.id == e.src && e.dep == DepKind::Rar)));
     }
 
     #[test]

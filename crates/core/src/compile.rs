@@ -2,11 +2,11 @@
 //! memory partitioning → optimizations → compute partitioning → global
 //! merging → assignment.
 
-use crate::assign::{self, AssignOptions, Assignment};
+use crate::assign::{self, Assignment};
 use crate::cmmc::CmmcStats;
 use crate::error::CompileError;
 use crate::lower::{self, LowerOptions, Lowered};
-use crate::opt::{OptConfig, OptStats};
+use crate::opt::OptConfig;
 use crate::partition::Algo;
 use crate::report::ResourceReport;
 use crate::vudfg::Vudfg;
@@ -18,10 +18,10 @@ use sara_ir::Program;
 pub struct CompilerOptions {
     pub lower: LowerOptions,
     pub opt: OptConfig,
+    /// Algorithm for per-unit compute partitioning.
     pub partition_algo: Algo,
+    /// Algorithm for global merging.
     pub merge_algo: Algo,
-    /// Logical DRAM streams per physical AG.
-    pub streams_per_ag: u32,
 }
 
 impl Default for CompilerOptions {
@@ -31,7 +31,6 @@ impl Default for CompilerOptions {
             opt: OptConfig::default(),
             partition_algo: Algo::BestTraversal,
             merge_algo: Algo::BestTraversal,
-            streams_per_ag: 4,
         }
     }
 }
@@ -46,8 +45,6 @@ pub struct Compiled {
     pub report: ResourceReport,
     /// CMMC reduction statistics.
     pub cmmc_stats: CmmcStats,
-    /// Optimization statistics.
-    pub opt_stats: OptStats,
     /// Assignment detail (per-unit partitioning, merge plan, unit types).
     pub assignment: Assignment,
 }
@@ -64,31 +61,15 @@ pub fn compile(
 ) -> Result<Compiled, CompileError> {
     // IR-level rewrites first (route-through elimination, §III-C).
     let rewritten;
-    let (p, rtelm_removed) = if opts.opt.rtelm {
-        let (q, s) = crate::opt_ir::rtelm(p);
-        rewritten = q;
-        (&rewritten, s.rtelm_removed)
+    let p = if opts.opt.rtelm {
+        rewritten = crate::opt_ir::rtelm(p).0;
+        &rewritten
     } else {
-        (p, 0)
+        p
     };
     let lowered: Lowered = lower::lower(p, chip, &opts.lower)?;
     let mut g = lowered.vudfg;
     crate::vudfg_validate::validate(&g).map_err(CompileError::Internal)?;
-    let assignment = assign::assign(
-        &mut g,
-        chip,
-        &AssignOptions {
-            partition_algo: opts.partition_algo,
-            merge_algo: opts.merge_algo,
-            opt: opts.opt,
-            streams_per_ag: opts.streams_per_ag,
-        },
-    )?;
-    Ok(Compiled {
-        vudfg: g,
-        report: assignment.report,
-        cmmc_stats: lowered.cmmc.stats,
-        opt_stats: OptStats { rtelm_removed },
-        assignment,
-    })
+    let assignment = assign::assign(&mut g, chip, opts)?;
+    Ok(Compiled { vudfg: g, report: assignment.report, cmmc_stats: lowered.cmmc.stats, assignment })
 }

@@ -20,8 +20,10 @@
 //! 3. [`mempart`] — memory partitioning (§III-B2): banked VMUs with either
 //!    statically resolved point-to-point wiring or hierarchical
 //!    merge/distribute trees.
-//! 4. [`opt`] — resource/performance optimizations (§III-C): `msr`,
-//!    `rtelm`, `retime`, `retime-m`, `xbar-elm`.
+//! 4. [`opt`] — resource/performance optimizations (§III-C): switches for
+//!    `rtelm`, `retime` and `retime-m`. The paper's `msr` and `xbar-elm`
+//!    are structural here (banking and lowering give them) and have no
+//!    switch.
 //! 5. [`partition`] — compute partitioning (§III-B1) with traversal-based
 //!    and solver-based algorithms; [`merge`] — global merging.
 //! 6. [`assign`] — virtual-to-physical unit-type assignment and resource

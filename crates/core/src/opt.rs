@@ -1,22 +1,20 @@
-//! Performance and resource optimizations (paper §III-C): the switches and
-//! statistics. Each pass lives where it is naturally expressed:
+//! Performance and resource optimizations (paper §III-C): the switches.
+//! Each pass lives where it is naturally expressed:
 //! * `rtelm` rewrites the IR before lowering ([`crate::opt_ir::rtelm`]);
-//! * `msr` is structural — constant/affine addresses statically resolve
-//!   to point-to-point streams at banking time (see [`crate::opt_ir`]
-//!   module docs);
-//! * `xbar_elm` is a lowering wiring decision (bank-address computation is
-//!   duplicated into each lane's request unit rather than forwarded);
 //! * `retime`/`retime_m` run during assignment, where post-partitioning
 //!   path delays are known ([`crate::assign`]).
+//!
+//! The paper's other two, `msr` and `xbar-elm`, are structural here and
+//! have no switch: constant/affine addresses statically resolve to
+//! point-to-point streams at banking time (see the [`crate::opt_ir`]
+//! module docs), and lowering duplicates bank-address computation into
+//! each lane's request unit rather than forwarding it.
 
 use serde::{Deserialize, Serialize};
 
 /// Which optimizations are enabled (the Fig 10 ablation axes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OptConfig {
-    /// Memory strength reduction: scratchpads with constant-address
-    /// accessors become FIFOs (input buffers).
-    pub msr: bool,
     /// Route-through elimination: forwarding memories between lock-step
     /// producer/consumer pairs are removed.
     pub rtelm: bool,
@@ -26,27 +24,17 @@ pub struct OptConfig {
     /// Use scratchpads (PMUs) as retiming buffers instead of chained
     /// compute-unit FIFOs.
     pub retime_m: bool,
-    /// Duplicate cheap bank-address computation instead of forwarding it
-    /// across the crossbar datapath.
-    pub xbar_elm: bool,
 }
 
 impl Default for OptConfig {
     fn default() -> Self {
-        OptConfig { msr: true, rtelm: true, retime: true, retime_m: true, xbar_elm: true }
+        OptConfig { rtelm: true, retime: true, retime_m: true }
     }
 }
 
 impl OptConfig {
     /// Everything off (the ablation baseline).
     pub fn none() -> Self {
-        OptConfig { msr: false, rtelm: false, retime: false, retime_m: false, xbar_elm: false }
+        OptConfig { rtelm: false, retime: false, retime_m: false }
     }
-}
-
-/// Statistics of one optimization run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OptStats {
-    /// Route-through memories eliminated.
-    pub rtelm_removed: usize,
 }

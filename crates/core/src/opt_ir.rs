@@ -17,7 +17,9 @@
 //!   hardware saving is obtained structurally: constant-address accessors
 //!   bank trivially and statically resolve to point-to-point streams at
 //!   lowering time (see [`crate::mempart`]). `msr` therefore has no
-//!   separate rewrite here; the flag is kept for interface parity.
+//!   rewrite here and no switch in [`crate::opt::OptConfig`]; nor does
+//!   `xbar-elm`, which lowering gives the same way (each lane's request
+//!   unit computes its own bank address).
 
 use sara_ir::{CtrlKind, Expr, MemId, MemKind, Program};
 

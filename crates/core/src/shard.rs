@@ -509,7 +509,8 @@ fn extract_one(g: &Vudfg, asg: &Assignment, plan: &ShardPlan, chip: u32) -> Shar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assign::{assign, AssignOptions};
+    use crate::assign::assign;
+    use crate::compile::CompilerOptions;
     use crate::vudfg::{CBound, DfgNode, Level, NodeOp, StreamKind, Vcu, VcuRole};
     use plasticine_arch::ChipSpec;
     use sara_ir::{BinOp, CtrlId};
@@ -557,7 +558,7 @@ mod tests {
     fn single_chip_plan_is_trivial() {
         let mut g = dumbbell(2);
         let chip = ChipSpec::small_8x8();
-        let asg = assign(&mut g, &chip, &AssignOptions::default()).unwrap();
+        let asg = assign(&mut g, &chip, &CompilerOptions::default()).unwrap();
         let plan = plan_shards(&g, &asg, &SystemSpec::single(chip));
         assert_eq!(plan.count, 1);
         assert!(plan.crossings.is_empty());
@@ -572,7 +573,7 @@ mod tests {
         // latency), even when more chips are available.
         let mut g = dumbbell(2);
         let chip = ChipSpec::small_8x8();
-        let asg = assign(&mut g, &chip, &AssignOptions::default()).unwrap();
+        let asg = assign(&mut g, &chip, &CompilerOptions::default()).unwrap();
         let plan = plan_shards(&g, &asg, &SystemSpec::grid(chip, 4));
         assert_eq!(plan.count, 4);
         assert!(plan.crossings.is_empty(), "no forced spreading: {plan:?}");
@@ -588,7 +589,7 @@ mod tests {
         let chip = ChipSpec::tiny_4x4();
         let side = chip.pcus() as usize; // 2*side slots on a side-slot chip
         let mut g = dumbbell(side);
-        let asg = assign(&mut g, &chip, &AssignOptions::default()).unwrap();
+        let asg = assign(&mut g, &chip, &CompilerOptions::default()).unwrap();
         let plan = plan_shards(&g, &asg, &SystemSpec::grid(chip, 2));
         assert_eq!(plan.crossings.len(), 1, "exactly one crossing: {plan:?}");
         let s = g.stream(plan.crossings[0]);
@@ -616,7 +617,7 @@ mod tests {
     fn one_chip_extraction_is_the_identity() {
         let mut g = dumbbell(2);
         let chip = ChipSpec::small_8x8();
-        let asg = assign(&mut g, &chip, &AssignOptions::default()).unwrap();
+        let asg = assign(&mut g, &chip, &CompilerOptions::default()).unwrap();
         let plan = ShardPlan::single(&g);
         let shards = extract_shards(&g, &asg, &plan);
         assert_eq!(shards.len(), 1);
@@ -635,7 +636,7 @@ mod tests {
     fn crossings_become_link_endpoints_and_shards_are_closed() {
         let chip = ChipSpec::tiny_4x4();
         let mut g = dumbbell(chip.pcus() as usize);
-        let asg = assign(&mut g, &chip, &AssignOptions::default()).unwrap();
+        let asg = assign(&mut g, &chip, &CompilerOptions::default()).unwrap();
         let plan = plan_shards(&g, &asg, &SystemSpec::grid(chip, 2));
         let shards = extract_shards(&g, &asg, &plan);
         assert_eq!(shards.len(), 2);

@@ -182,15 +182,13 @@ impl KnobConfig {
             ),
         };
         format!(
-            "{}|{}|{}|msr={} rtelm={} retime={} retime_m={} xbar_elm={}{link}",
+            "{}|{}|{}|rtelm={} retime={} retime_m={}{link}",
             self.workload,
             self.chip,
             pars.join(","),
-            self.opt.msr,
             self.opt.rtelm,
             self.opt.retime,
-            self.opt.retime_m,
-            self.opt.xbar_elm
+            self.opt.retime_m
         )
     }
 
@@ -225,15 +223,15 @@ impl KnobConfig {
         doc.set(
             "opt",
             Json::object()
-                .set("msr", self.opt.msr)
                 .set("rtelm", self.opt.rtelm)
                 .set("retime", self.opt.retime)
-                .set("retime_m", self.opt.retime_m)
-                .set("xbar_elm", self.opt.xbar_elm),
+                .set("retime_m", self.opt.retime_m),
         )
     }
 
-    /// Deserialize from the artifact schema.
+    /// Deserialize from the artifact schema. Documents written when the
+    /// schema also carried `opt.msr` and `opt.xbar_elm` still parse: those
+    /// keys are ignored.
     ///
     /// # Errors
     ///
@@ -285,11 +283,9 @@ impl KnobConfig {
                 .ok_or_else(|| format!("knobs artifact: opt.{key} must be a boolean"))
         };
         let opt = OptConfig {
-            msr: flag("msr")?,
             rtelm: flag("rtelm")?,
             retime: flag("retime")?,
             retime_m: flag("retime_m")?,
-            xbar_elm: flag("xbar_elm")?,
         };
         let link_u32 = |key: &str| -> Result<Option<u32>, String> {
             match v.get(key) {
@@ -390,6 +386,22 @@ mod tests {
         let k = p.loops().into_iter().find(|&l| p.ctrl(l).name == "k").unwrap();
         assert_eq!(p.ctrl(k).loop_spec().unwrap().par, 4);
         p.validate().unwrap();
+    }
+
+    #[test]
+    fn old_artifacts_with_deleted_flags_still_parse() {
+        let old = r#"{
+            "format": "sara-dse-knobs-v1", "workload": "gemm", "chip": "8x8", "pnr_seed": 42,
+            "pars": [{"loop": "i", "par": 2, "trip": 16, "innermost": false},
+                     {"loop": "k", "par": 8, "trip": 16, "innermost": true}],
+            "opt": {"msr": false, "rtelm": true, "retime": false, "retime_m": true, "xbar_elm": true}
+        }"#;
+        let current = old.replace(r#""msr": false, "#, "").replace(r#", "xbar_elm": true"#, "");
+        assert!(!current.contains("msr") && !current.contains("xbar_elm"));
+        let parsed = KnobConfig::parse(old).unwrap();
+        assert_eq!(parsed, KnobConfig::parse(&current).unwrap());
+        let key = parsed.key();
+        assert!(!key.contains("msr") && !key.contains("xbar_elm"), "{key}");
     }
 
     #[test]

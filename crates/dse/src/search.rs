@@ -421,14 +421,12 @@ fn neighbors(k: &KnobConfig, tune_chip: bool, dram_bound: bool) -> Vec<KnobConfi
     }
 
     let mut flag_moves = Vec::new();
-    for f in 0..5 {
+    for f in 0..3 {
         let mut n = k.clone();
         let flag = match f {
-            0 => &mut n.opt.msr,
-            1 => &mut n.opt.rtelm,
-            2 => &mut n.opt.retime,
-            3 => &mut n.opt.retime_m,
-            _ => &mut n.opt.xbar_elm,
+            0 => &mut n.opt.rtelm,
+            1 => &mut n.opt.retime,
+            _ => &mut n.opt.retime_m,
         };
         *flag = !*flag;
         flag_moves.push(n);
@@ -490,16 +488,16 @@ mod tests {
         let w = sara_workloads::by_name("gemm").unwrap();
         let k = KnobConfig::default_for(&w, "8x8", 42).unwrap();
         let ns = neighbors(&k, false, false);
-        // i and k can both double (halving par=1 is a no-op), plus 5 flag
+        // i and k can both double (halving par=1 is a no-op), plus 3 flag
         // toggles; no chip moves without tune_chip.
-        assert_eq!(ns.len(), 2 + 5);
+        assert_eq!(ns.len(), 2 + 3);
         for n in &ns {
             assert_ne!(n.key(), k.key());
             assert_eq!(n.chip, k.chip);
         }
         // tune_chip adds the 3 other chips and the 4 advertised systems.
         let with_chips = neighbors(&k, true, false);
-        assert_eq!(with_chips.len(), 2 + 5 + 3 + SystemSpec::NAMES.len());
+        assert_eq!(with_chips.len(), 2 + 3 + 3 + SystemSpec::NAMES.len());
     }
 
     #[test]
@@ -553,8 +551,8 @@ mod tests {
                 assert!(knob.par <= 16 && knob.par >= 1);
             }
         }
-        // Only halving moves remain for the pars (2) plus the 5 flags.
-        assert_eq!(ns.len(), 2 + 5);
+        // Only halving moves remain for the pars (2) plus the 3 flags.
+        assert_eq!(ns.len(), 2 + 3);
     }
 
     #[test]

@@ -245,8 +245,8 @@ pub fn place_and_route(
         list.sort_by_key(order_key);
         let slots = slots_of(chip, t);
         // AG units time-share the physical DRAM interfaces (the
-        // assignment phase accounts `streams_per_ag` logical streams per
-        // AG), so AG overflow packs round-robin instead of failing.
+        // assignment phase accounts several logical streams per AG), so
+        // AG overflow packs round-robin instead of failing.
         if list.len() > slots.len() && (t != PuType::Ag || slots.is_empty()) {
             return Err(PnrError { what: t, needed: list.len(), available: slots.len() });
         }
@@ -450,7 +450,8 @@ pub fn place_and_route_system(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sara_core::assign::{assign, AssignOptions};
+    use sara_core::assign::assign;
+    use sara_core::compile::CompilerOptions;
     use sara_core::vudfg::{DfgNode, NodeOp, StreamKind, UnitKind, Vcu, VcuRole};
     use sara_ir::BinOp;
 
@@ -485,7 +486,7 @@ mod tests {
     fn chain_places_and_routes() {
         let mut g = chain_vudfg(6);
         let chip = ChipSpec::tiny_4x4();
-        let asg = assign(&mut g, &chip, &AssignOptions::default()).unwrap();
+        let asg = assign(&mut g, &chip, &CompilerOptions::default()).unwrap();
         let r = place_and_route(&mut g, &asg, &chip, 7).unwrap();
         assert!(r.wirelength > 0);
         // all streams got routed latencies
@@ -494,7 +495,7 @@ mod tests {
         }
         // deterministic for equal seeds
         let mut g2 = chain_vudfg(6);
-        let asg2 = assign(&mut g2, &chip, &AssignOptions::default()).unwrap();
+        let asg2 = assign(&mut g2, &chip, &CompilerOptions::default()).unwrap();
         let r2 = place_and_route(&mut g2, &asg2, &chip, 7).unwrap();
         assert_eq!(r.wirelength, r2.wirelength);
     }
@@ -503,7 +504,7 @@ mod tests {
     fn capacity_overflow_detected() {
         let mut g = chain_vudfg(60); // 60 PCU-class units on a 4x4 grid (8 PCUs)
         let chip = ChipSpec::tiny_4x4();
-        let asg = assign(&mut g, &chip, &AssignOptions::default()).unwrap();
+        let asg = assign(&mut g, &chip, &CompilerOptions::default()).unwrap();
         let err = place_and_route(&mut g, &asg, &chip, 7).unwrap_err();
         assert_eq!(err.what, PuType::Pcu);
         assert!(err.needed > err.available);
@@ -514,7 +515,7 @@ mod tests {
         // ring topology benefits from locality
         let mut g = chain_vudfg(8);
         let chip = ChipSpec::tiny_4x4();
-        let asg = assign(&mut g, &chip, &AssignOptions::default()).unwrap();
+        let asg = assign(&mut g, &chip, &CompilerOptions::default()).unwrap();
         let r = place_and_route(&mut g, &asg, &chip, 3).unwrap();
         // 7 nets (chain may merge into fewer placeables); wirelength must
         // be bounded by a loose constant for a tight chain on a 4x4 grid
@@ -531,10 +532,10 @@ mod tests {
     fn one_chip_system_matches_single_chip_pnr_exactly() {
         let chip = ChipSpec::tiny_4x4();
         let mut g1 = chain_vudfg(6);
-        let asg1 = assign(&mut g1, &chip, &AssignOptions::default()).unwrap();
+        let asg1 = assign(&mut g1, &chip, &CompilerOptions::default()).unwrap();
         let r1 = place_and_route(&mut g1, &asg1, &chip, 7).unwrap();
         let mut g2 = chain_vudfg(6);
-        let asg2 = assign(&mut g2, &chip, &AssignOptions::default()).unwrap();
+        let asg2 = assign(&mut g2, &chip, &CompilerOptions::default()).unwrap();
         let sys = SystemSpec::single(chip);
         let r2 = place_and_route_system(&mut g2, &asg2, &sys, 7).unwrap();
         assert_eq!(r2.chips.len(), 1);
@@ -554,7 +555,7 @@ mod tests {
         let chip = ChipSpec::tiny_4x4();
         let sys = SystemSpec::grid(chip.clone(), 2);
         let mut g = chain_vudfg(12);
-        let asg = assign(&mut g, &chip, &AssignOptions::default()).unwrap();
+        let asg = assign(&mut g, &chip, &CompilerOptions::default()).unwrap();
         let r = place_and_route_system(&mut g, &asg, &sys, 7).unwrap();
         assert_eq!(r.chips.len(), 2);
         assert!(!r.plan.crossings.is_empty(), "a chain split across chips must cross");
