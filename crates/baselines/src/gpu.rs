@@ -92,7 +92,7 @@ pub fn estimate(v: &V100, class: GpuClass, stats: &InterpStats, launches: u32) -
 }
 
 /// Launch count heuristic per workload (framework dispatch granularity).
-pub fn launches_of(name: &str, _stats: &InterpStats) -> u32 {
+pub fn launches_of(name: &str) -> u32 {
     match name {
         // one kernel per layer
         "mlp" => 3,

@@ -32,8 +32,8 @@
 use plasticine_arch::ChipSpec;
 use plasticine_sim::{seeded_plan, simulate, FaultPlan, SimConfig, SimError};
 use sara_bench::cli;
-use sara_bench::json::Json;
 use sara_core::compile::{compile, CompilerOptions};
+use sara_util::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Campaign outcome classes, in the order they appear in the summary.

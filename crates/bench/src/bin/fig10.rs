@@ -14,9 +14,9 @@
 //! (`SARA_BENCH_THREADS`); `SARA_BENCH_SMOKE` shrinks the app set.
 
 use plasticine_arch::ChipSpec;
-use sara_bench::json::Json;
-use sara_bench::{run_profiled, sweep};
+use sara_bench::run_profiled;
 use sara_core::compile::CompilerOptions;
+use sara_util::{pool, Json};
 
 const VARIANTS: &[&str] = &["reduce", "relax", "retime", "retime-m"];
 
@@ -85,7 +85,7 @@ fn main() {
         }
     }
 
-    let results = sweep::run_points(&points, eval);
+    let results = pool::run_points(&points, eval);
     let by_pt: Vec<(&Pt, Result<Out, String>)> = points.iter().zip(results).collect();
     for (pt, res) in &by_pt {
         if let Err(e) = res {

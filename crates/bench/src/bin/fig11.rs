@@ -13,10 +13,9 @@
 //! The PCU counts (axis a) are unaffected by threading.
 
 use plasticine_arch::ChipSpec;
-use sara_bench::json::Json;
-use sara_bench::sweep;
 use sara_core::compile::{compile, CompilerOptions};
 use sara_core::partition::{Algo, SolverCfg, TraversalOrder};
+use sara_util::{pool, Json};
 use std::time::Instant;
 
 fn algos() -> Vec<(String, Algo)> {
@@ -94,7 +93,7 @@ fn main() {
             points.push(Pt { app, program: program.clone(), algo_name, algo });
         }
     }
-    let results = sweep::run_points(&points, eval);
+    let results = pool::run_points(&points, eval);
     let ok: Vec<(&Pt, Out)> = points
         .iter()
         .zip(results)

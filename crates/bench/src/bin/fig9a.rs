@@ -11,9 +11,9 @@
 //! the sweep to a few seconds for CI.
 
 use plasticine_arch::ChipSpec;
-use sara_bench::json::Json;
-use sara_bench::{run_profiled, sweep, Run};
+use sara_bench::{run_profiled, Run};
 use sara_core::compile::CompilerOptions;
+use sara_util::{pool, Json};
 use sara_workloads::{graph, linalg, streamk};
 
 /// One design point: a series and its parallelization factors.
@@ -109,7 +109,7 @@ fn main() {
     let q6_sweep: &[u32] = if smoke { &[1, 16] } else { &[1, 4, 16, 32, 64, 128] };
     points.extend(q6_sweep.iter().map(|&par| Pt::Q6 { par }));
 
-    let results = sweep::run_points(&points, eval);
+    let results = pool::run_points(&points, eval);
 
     // Results come back in sweep order, so the first successful point of
     // each series is its speedup baseline, exactly as in the sequential

@@ -7,10 +7,10 @@
 //! pool (`SARA_BENCH_THREADS`); `SARA_BENCH_SMOKE` shrinks the sweep.
 
 use plasticine_arch::ChipSpec;
-use sara_bench::json::Json;
-use sara_bench::{run_profiled, sweep};
+use sara_bench::run_profiled;
 use sara_core::compile::CompilerOptions;
 use sara_core::opt::OptConfig;
+use sara_util::{pool, Json};
 use sara_workloads::{linalg, ml};
 
 const OPT_SETS: &[&str] = &["all", "none", "no-retime"];
@@ -95,7 +95,7 @@ fn main() {
         }
     }
 
-    let results = sweep::run_points(&points, eval);
+    let results = pool::run_points(&points, eval);
     let ok: Vec<(&Pt, Out)> = points
         .iter()
         .zip(results)

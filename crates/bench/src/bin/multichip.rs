@@ -16,9 +16,9 @@
 //! workloads must beat their 1-chip baseline at the largest chip count.
 
 use plasticine_arch::{ChipSpec, SystemSpec};
-use sara_bench::json::Json;
-use sara_bench::{run_system, sweep, Run};
+use sara_bench::{run_system, Run};
 use sara_dse::knobs::KnobConfig;
+use sara_util::{pool, Json};
 
 /// Workloads whose dominant loop parallelizes with no (or thin)
 /// cross-iteration traffic — the floor the scale-out gate enforces.
@@ -114,7 +114,7 @@ fn main() {
         .flat_map(|&w| counts.iter().map(move |&c| Pt { workload: w, chips: c }))
         .collect();
 
-    let results = sweep::run_points(&points, eval);
+    let results = pool::run_points(&points, eval);
 
     let mut rows: Vec<Json> = Vec::new();
     let mut base: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();

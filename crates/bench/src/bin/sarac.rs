@@ -62,9 +62,10 @@
 
 use plasticine_arch::{ChipSpec, SystemSpec};
 use plasticine_sim::{simulate, simulate_system, FaultPlan, SimConfig};
-use sara_bench::{cli, sweep};
+use sara_bench::cli;
 use sara_core::compile::{compile, CompilerOptions};
 use sara_core::vudfg::{StreamKind, UnitKind, Vudfg};
+use sara_util::pool;
 use std::fmt::Write as _;
 
 fn dot_of(g: &Vudfg) -> String {
@@ -106,7 +107,7 @@ fn dot_of(g: &Vudfg) -> String {
 /// simulation) in parallel, one summary line per workload.
 fn sweep_all(chip: &ChipSpec, do_sim: bool) -> ! {
     let names: Vec<&'static str> = sara_workloads::all_small().iter().map(|w| w.name).collect();
-    let results = sweep::run_points(&names, |name| {
+    let results = pool::run_points(&names, |name| {
         let w = sara_workloads::by_name(name).ok_or("unknown workload")?;
         let mut compiled =
             compile(&w.program, chip, &CompilerOptions::default()).map_err(|e| e.to_string())?;
@@ -174,11 +175,13 @@ fn autotune(name: &str, chip: &ChipSpec, budget: Option<usize>) -> ! {
 /// until a shutdown request arrives on the endpoint (a Unix socket
 /// path, or a TCP `host:port` when the spelling contains `':'`).
 fn run_server(socket: Option<String>) -> ! {
-    let opts = sarad::ServerOptions {
-        socket: socket.map_or_else(sarad::server::default_socket, std::path::PathBuf::from),
-        cache_dir: sarad::server::default_cache_dir(),
-        ..sarad::ServerOptions::default()
-    };
+    let mut opts = sarad::ServerOptions::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    if let Some(socket) = socket {
+        opts.socket = std::path::PathBuf::from(socket);
+    }
     eprintln!("sarad: listening on {} (cache {})", opts.endpoint(), opts.cache_dir.display());
     match sarad::serve(&opts) {
         Ok(()) => std::process::exit(0),

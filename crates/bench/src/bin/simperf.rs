@@ -28,9 +28,9 @@
 
 use plasticine_arch::ChipSpec;
 use plasticine_sim::simulate;
-use sara_bench::json::Json;
 use sara_bench::{cli, geomean, save_json_or_exit, sim_config, smoke};
 use sara_core::compile::{compile, CompilerOptions};
+use sara_util::Json;
 use std::time::Instant;
 
 /// PnR seed matching `golden_cycles.rs`: the measured graphs are the

@@ -5,10 +5,9 @@
 //! Workloads are characterized concurrently on the sweep pool
 //! (`SARA_BENCH_THREADS`); `SARA_BENCH_SMOKE` keeps only a handful.
 
-use sara_bench::json::Json;
-use sara_bench::sweep;
 use sara_ir::interp::Interp;
 use sara_ir::MemKind;
+use sara_util::{pool, Json};
 
 struct Row {
     name: String,
@@ -66,7 +65,7 @@ fn main() {
     if sara_bench::smoke() {
         names.truncate(4);
     }
-    let results = sweep::run_points(&names, eval);
+    let results = pool::run_points(&names, eval);
     println!(
         "{:<10} {:<14} {:>5} {:>6} {:>4} {:>5} {:>5} {:>5} {:>5} {:>6} {:>7} {:>10} {:>10} {:>6}",
         "name",

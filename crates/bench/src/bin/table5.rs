@@ -8,9 +8,9 @@
 //! pool (`SARA_BENCH_THREADS`); `SARA_BENCH_SMOKE` shrinks the inputs.
 
 use plasticine_arch::ChipSpec;
-use sara_bench::json::Json;
-use sara_bench::{geomean, run_pc, run_profiled, sweep};
+use sara_bench::{geomean, run_pc, run_profiled};
 use sara_core::compile::CompilerOptions;
+use sara_util::{pool, Json};
 
 fn apps() -> Vec<(&'static str, sara_ir::Program)> {
     use sara_workloads::{linalg, ml, streamk};
@@ -71,7 +71,7 @@ fn main() {
         points.push(Pt { app, program: program.clone(), pc: false });
         points.push(Pt { app, program, pc: true });
     }
-    let results = sweep::run_points(&points, eval);
+    let results = pool::run_points(&points, eval);
     let ok: Vec<(&Pt, Out)> = points
         .iter()
         .zip(results)

@@ -11,9 +11,9 @@
 
 use plasticine_arch::ChipSpec;
 use sara_baselines::gpu::{estimate, launches_of, GpuClass, V100};
-use sara_bench::json::Json;
-use sara_bench::{geomean, run_profiled, sweep};
+use sara_bench::{geomean, run_profiled};
 use sara_core::compile::CompilerOptions;
+use sara_util::{pool, Json};
 
 fn apps() -> Vec<(&'static str, sara_ir::Program)> {
     use sara_workloads::{cnn, graph, ml, sort, streamk};
@@ -56,7 +56,7 @@ fn eval(pt: &Pt) -> Result<Out, String> {
     let tag = format!("table6-{}", pt.app);
     let sara = run_profiled(&tag, &pt.program, &chip, &CompilerOptions::default())?;
     let class = GpuClass::of_workload(pt.app);
-    let launches = launches_of(pt.app, &sara.interp);
+    let launches = launches_of(pt.app);
     let gpu = estimate(&v100, class, &sara.interp, launches);
     let sara_s = sara.seconds(&chip);
     let speedup = gpu.seconds / sara_s;
@@ -75,7 +75,7 @@ fn eval(pt: &Pt) -> Result<Out, String> {
 fn main() {
     sara_bench::cli::parse_profile_dir_flag();
     let points: Vec<Pt> = apps().into_iter().map(|(app, program)| Pt { app, program }).collect();
-    let results = sweep::run_points(&points, eval);
+    let results = pool::run_points(&points, eval);
 
     println!(
         "{:<6} {:>11} {:>9} {:>9} {:>8} {:>9} {:>6} {:>5}",

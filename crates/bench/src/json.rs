@@ -1,13 +1,9 @@
-//! Result-file JSON helpers.
-//!
-//! The [`Json`] value type (and its parser) moved to [`sara_util::json`]
-//! so artifact-emitting crates below the bench harness can share it;
-//! this module re-exports it for the existing call sites and keeps the
-//! profile serialization, which depends on `sara-core`.
-
-pub use sara_util::json::Json;
+//! Profile serialization for result files. The JSON value type itself
+//! is [`sara_util::Json`]; this helper lives here because it depends on
+//! `sara-core`.
 
 use sara_core::profile::{SimProfile, StallReason};
+use sara_util::Json;
 
 /// Serialize a [`SimProfile`] into the result-file JSON shape: per-VCU
 /// cycle attribution with a per-reason stall object, per-stream

@@ -1,17 +1,17 @@
-//! Shared experiment-harness plumbing: compile+PnR+simulate runners, the
-//! parallel sweep pool, and result records serialized into `results/`.
+//! Shared experiment-harness plumbing: compile+PnR+simulate runners and
+//! result records serialized into `results/`. The bins fan their points
+//! out over [`sara_util::pool`].
 
 pub mod cli;
 pub mod json;
-pub mod sweep;
 pub mod trace;
 
-use json::Json;
 use plasticine_arch::{ChipSpec, SystemSpec};
 use plasticine_sim::{simulate, simulate_system, verify_dram, SimConfig, SimOutcome};
 use sara_core::compile::{compile, Compiled, CompilerOptions};
 use sara_ir::interp::{Interp, InterpStats};
 use sara_ir::Program;
+use sara_util::Json;
 use std::path::PathBuf;
 
 pub use cli::{parse_profile_dir_flag, profile_dir};

@@ -7,8 +7,8 @@
 //! time so cycle numbers read off the ruler directly. DRAM bandwidth and
 //! row-hit counters are emitted as counter ("C") events per epoch bin.
 
-use crate::json::Json;
 use sara_core::profile::{SimProfile, UnitState};
+use sara_util::Json;
 
 /// Build the `trace_event` document for one profiled run. `source` names
 /// the run in the trace UI (process name and metadata).

@@ -269,7 +269,7 @@ fn synthesize_mem(p: &Program, mem: MemId, opts: &CmmcOptions, plan: &mut CmmcPl
         let mut credit = if (has_lcd_flow || leaf_epoch) && a.id.hb != b.id.hb {
             1
         } else {
-            credit_for(p, mem, a, b, l, opts)
+            credit_for(p, a, b, l, opts)
         };
         if credit > 1 && a.id.hb != b.id.hb {
             match mem_multibuffer {
@@ -332,14 +332,7 @@ fn reduce_backward(fwd: &DiGraph, back: &[BackEdge], relay: &[bool]) -> Vec<Back
 
 /// Initial credits for a backward edge over loop `l` (paper §III-A1:
 /// "the initial credit often matches the VMU's multibuffer depth").
-fn credit_for(
-    p: &Program,
-    _mem: MemId,
-    a: &Access,
-    b: &Access,
-    l: CtrlId,
-    opts: &CmmcOptions,
-) -> u32 {
+fn credit_for(p: &Program, a: &Access, b: &Access, l: CtrlId, opts: &CmmcOptions) -> u32 {
     if !opts.relax_credits {
         return 1;
     }

@@ -80,7 +80,7 @@ pub fn lower(p: &Program, chip: &ChipSpec, opts: &LowerOptions) -> Result<Lowere
     let unroll = mempart::unroll_info(p, chip.pcu.lanes);
     let plan = cmmc::synthesize(p, &opts.cmmc);
     let banking = mempart::plan_banking(p, chip, &unroll, opts.banking)?;
-    let b = Builder::new(p, chip, opts, unroll, plan, banking)?;
+    let b = Builder::new(p, chip, unroll, plan, banking)?;
     b.run()
 }
 
@@ -220,7 +220,6 @@ impl<'a> Builder<'a> {
     fn new(
         p: &'a Program,
         chip: &'a ChipSpec,
-        _opts: &LowerOptions,
         unroll: HashMap<CtrlId, UnrollInfo>,
         plan: CmmcPlan,
         banking: BankingPlan,
@@ -668,7 +667,7 @@ impl<'a> Builder<'a> {
                 Expr::Load { mem, .. } => {
                     let access = AccessId { hb, expr: eid };
                     let (src_unit, src_port) =
-                        self.build_access(access, *mem, lane, &binding, &specs, &h, &nodes, None)?;
+                        self.build_access(access, *mem, lane, &binding, &specs, &h)?;
                     let (_, in_port) = self.g.connect_bcast(
                         src_unit,
                         src_port,
@@ -978,7 +977,6 @@ impl<'a> Builder<'a> {
 
     /// Build the machinery of a *load* access and return the `(unit,
     /// out_port)` that produces its response data.
-    #[allow(clippy::too_many_arguments)]
     fn build_access(
         &mut self,
         access: AccessId,
@@ -987,8 +985,6 @@ impl<'a> Builder<'a> {
         binding: &BTreeMap<CtrlId, u32>,
         specs: &[LSpec],
         h: &sara_ir::Hyperblock,
-        _main_nodes: &[usize],
-        _unused: Option<()>,
     ) -> Result<(UnitId, usize), CompileError> {
         let decl = self.p.mem(mem);
         let hb = access.hb;
@@ -1059,20 +1055,20 @@ impl<'a> Builder<'a> {
             if let UnitKind::Ag(a) = &mut self.g.unit_mut(ag).kind {
                 a.addr_in = ag_in;
             }
-            let out_port = self.ensure_out_port(ag, kind_vec, format!("data:{access}"));
+            let out_port = self.ensure_out_port(ag);
             if let UnitKind::Ag(a) = &mut self.g.unit_mut(ag).kind {
                 a.out = out_port;
             }
             (ag, out_port)
         } else {
-            self.wire_onchip_read(access, mem, lane, binding, req, flat, width)?
+            self.wire_onchip_read(access, mem, binding, req, flat, width)?
         };
         self.data_srcs.insert((access, lane.clone()), (src_unit, src_port));
         // Epoch markers for multibuffered memories.
         self.set_epoch_emit(req, mem, hb)?;
         // Response unit if this access sources tokens.
         if self.token_srcs.contains(&access) {
-            self.make_response(access, mem, lane, binding, specs, (src_unit, src_port))?;
+            self.make_response(access, lane, binding, specs, (src_unit, src_port))?;
         }
         Ok((src_unit, src_port))
     }
@@ -1239,20 +1235,19 @@ impl<'a> Builder<'a> {
                 a.addr_in = ag_addr_in;
                 a.data_in = Some(ag_data_in);
             }
-            let ack_port = self.ensure_out_port(ag, StreamKind::Scalar, format!("ack:{access}"));
+            let ack_port = self.ensure_out_port(ag);
             if let UnitKind::Ag(a) = &mut self.g.unit_mut(ag).kind {
                 a.out = ack_port;
             }
             completion = (ag, ack_port);
         } else {
             completion = self.wire_onchip_write(
-                access, mem, lane, binding, req, flat, req_cond, data_unit, data_node, data_cond,
-                width,
+                access, mem, binding, req, flat, req_cond, data_unit, data_node, data_cond, width,
             )?;
         }
         self.set_epoch_emit(req, mem, hb)?;
         if self.token_srcs.contains(&access) {
-            self.make_response(access, mem, lane, binding, specs, completion)?;
+            self.make_response(access, lane, binding, specs, completion)?;
         }
         Ok(())
     }
@@ -1360,12 +1355,10 @@ impl<'a> Builder<'a> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn wire_onchip_read(
         &mut self,
         access: AccessId,
         mem: MemId,
-        _lane: &LaneKey,
         binding: &BTreeMap<CtrlId, u32>,
         req: UnitId,
         flat: usize,
@@ -1394,7 +1387,7 @@ impl<'a> Builder<'a> {
                 NodeOp::StreamOut { port: addr_out, pred: false, empty_pred: false },
                 vec![local],
             );
-            let data_port = self.ensure_out_port(vmu, kind_vec, format!("rdata:{access}"));
+            let data_port = self.ensure_out_port(vmu);
             self.vmu_build
                 .get_mut(&vmu)
                 .ok_or_else(|| CompileError::Internal("vmu build state missing".into()))?
@@ -1462,7 +1455,7 @@ impl<'a> Builder<'a> {
                     format!("raddr:{access}#{b}"),
                 );
                 bank_outs.push(out_p);
-                let data_port = self.ensure_out_port(vmu, kind_vec, format!("rdata:{access}#{b}"));
+                let data_port = self.ensure_out_port(vmu);
                 self.vmu_build
                     .get_mut(&vmu)
                     .ok_or_else(|| CompileError::Internal("vmu build state missing".into()))?
@@ -1478,7 +1471,7 @@ impl<'a> Builder<'a> {
                 );
                 coll_bank_ins.push(coll_in);
             }
-            let out_port = self.ensure_out_port(coll, kind_vec, format!("rdata:{access}"));
+            let out_port = self.ensure_out_port(coll);
             if let UnitKind::XbarDist(d) = &mut self.g.unit_mut(dist).kind {
                 d.bank_in = dist_bank_in;
                 d.payload_in = dist_addr_in;
@@ -1499,7 +1492,6 @@ impl<'a> Builder<'a> {
         &mut self,
         access: AccessId,
         mem: MemId,
-        _lane: &LaneKey,
         binding: &BTreeMap<CtrlId, u32>,
         req: UnitId,
         flat: usize,
@@ -1607,8 +1599,7 @@ impl<'a> Builder<'a> {
                         }
                     };
                     let ack_port = if self.token_srcs.contains(&access) && completion.is_none() {
-                        let p =
-                            self.ensure_out_port(vmu, StreamKind::Scalar, format!("ack:{access}"));
+                        let p = self.ensure_out_port(vmu);
                         completion = Some((vmu, p));
                         Some(p)
                     } else {
@@ -1752,11 +1743,7 @@ impl<'a> Builder<'a> {
                     );
                     d_outs.push(dp);
                     let ack = if let Some(c) = coll {
-                        let p = self.ensure_out_port(
-                            vmu,
-                            StreamKind::Scalar,
-                            format!("ack:{access}#{b}"),
-                        );
+                        let p = self.ensure_out_port(vmu);
                         let (_, cin) = self.g.connect_bcast(
                             vmu,
                             p,
@@ -1787,7 +1774,7 @@ impl<'a> Builder<'a> {
                     d.bank_outs = d_outs;
                 }
                 if let Some(c) = coll {
-                    let out = self.ensure_out_port(c, StreamKind::Scalar, format!("ack:{access}"));
+                    let out = self.ensure_out_port(c);
                     if let UnitKind::XbarColl(cc) = &mut self.g.unit_mut(c).kind {
                         cc.ba_in = coll_ba_in;
                         cc.bank_ins = coll_ins;
@@ -1831,7 +1818,6 @@ impl<'a> Builder<'a> {
     fn make_response(
         &mut self,
         access: AccessId,
-        _mem: MemId,
         lane: &LaneKey,
         binding: &BTreeMap<CtrlId, u32>,
         specs: &[LSpec],
@@ -2021,7 +2007,7 @@ impl<'a> Builder<'a> {
 
     /// Create a fresh output port on a unit with no stream yet; streams are
     /// attached by consumers via `connect_bcast`.
-    fn ensure_out_port(&mut self, unit: UnitId, _kind: StreamKind, _label: String) -> usize {
+    fn ensure_out_port(&mut self, unit: UnitId) -> usize {
         self.g.unit_mut(unit).outputs.push(crate::vudfg::OutPort { streams: Vec::new() });
         self.g.unit(unit).outputs.len() - 1
     }
@@ -2037,7 +2023,7 @@ impl<'a> Builder<'a> {
         if let Some(port) = self.fifo_ports.get(&mem) {
             return *port;
         }
-        let port = self.ensure_out_port(wu, StreamKind::Scalar, format!("fifo:{mem}"));
+        let port = self.ensure_out_port(wu);
         let ins = match cnode {
             Some(c) => vec![vnode, c],
             None => vec![vnode],
@@ -2123,11 +2109,7 @@ impl<'a> Builder<'a> {
             let out_port = match port {
                 Some(p) => p,
                 None => {
-                    let p = self.ensure_out_port(
-                        wunit,
-                        StreamKind::Scalar,
-                        format!("ctrl:{}", pend.mem),
-                    );
+                    let p = self.ensure_out_port(wunit);
                     self.push_node(
                         wunit,
                         NodeOp::StreamOut { port: p, pred: false, empty_pred: false },

@@ -222,6 +222,18 @@ pub struct SimProfile {
 }
 
 impl SimProfile {
+    /// Fraction of all VCU cycles spent stalled on DRAM (0 for a run
+    /// with no VCU cycles).
+    pub fn dram_blocked_frac(&self) -> f64 {
+        let total: u64 = self.vcus.iter().map(VcuProfile::total_cycles).sum();
+        let dram: u64 = self.vcus.iter().map(|v| v.stalled(StallReason::DramBlocked)).sum();
+        if total == 0 {
+            0.0
+        } else {
+            dram as f64 / total as f64
+        }
+    }
+
     /// VCUs sorted worst-stalled first (ties broken by label for
     /// deterministic reports).
     pub fn worst_stalled_vcus(&self) -> Vec<&VcuProfile> {

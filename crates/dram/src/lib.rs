@@ -18,7 +18,7 @@
 //! use plasticine_arch::DramKind;
 //!
 //! let mut dram = DramSim::new(DramKind::Hbm2);
-//! assert!(dram.push(0, Request { id: 1, addr: 0, bytes: 64, is_write: false }));
+//! assert!(dram.push(Request { id: 1, addr: 0, bytes: 64, is_write: false }));
 //! let mut done = Vec::new();
 //! let mut cycle = 0;
 //! while done.is_empty() {
@@ -239,7 +239,7 @@ impl DramSim {
     /// Enqueue a request. Returns `false` (and drops nothing) if the
     /// owning channel's queue is full; callers must retry later, which is
     /// exactly the backpressure the AG units exert on the fabric.
-    pub fn push(&mut self, _now: u64, req: Request) -> bool {
+    pub fn push(&mut self, req: Request) -> bool {
         let ch = self.channel_of(req.addr);
         if self.channels[ch].queue.len() >= self.cfg.queue_capacity {
             return false;
@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn single_read_latency() {
         let mut dram = DramSim::new(DramKind::Hbm2);
-        dram.push(0, Request { id: 7, addr: 0, bytes: 64, is_write: false });
+        dram.push(Request { id: 7, addr: 0, bytes: 64, is_write: false });
         let (out, cycle) = run_until_drained(&mut dram, 10_000);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].id, 7);
@@ -399,10 +399,7 @@ mod tests {
         while received < total {
             cycle += 1;
             while sent < total && dram.can_accept(sent) {
-                dram.push(
-                    cycle,
-                    Request { id: sent, addr: sent, bytes: burst as u32, is_write: false },
-                );
+                dram.push(Request { id: sent, addr: sent, bytes: burst as u32, is_write: false });
                 sent += burst;
             }
             out.clear();
@@ -429,10 +426,7 @@ mod tests {
             cycle += 1;
             if sent < n && dram.can_accept(0) {
                 // every access touches a different row
-                dram.push(
-                    cycle,
-                    Request { id: sent, addr: sent * 4096, bytes: 4, is_write: false },
-                );
+                dram.push(Request { id: sent, addr: sent * 4096, bytes: 4, is_write: false });
                 sent += 1;
             }
             out.clear();
@@ -457,7 +451,7 @@ mod tests {
         let mut dram = DramSim::new(DramKind::Hbm2);
         for i in 0..32u64 {
             // same channel: same interleave slot
-            dram.push(0, Request { id: i, addr: i * 2048 * 8, bytes: 64, is_write: false });
+            dram.push(Request { id: i, addr: i * 2048 * 8, bytes: 64, is_write: false });
         }
         let (out, _) = run_until_drained(&mut dram, 100_000);
         let mine: Vec<u64> = out.iter().map(|r| r.id).collect();
@@ -474,17 +468,17 @@ mod tests {
             ..DramModelCfg::of_kind(DramKind::Ddr3)
         };
         let mut dram = DramSim::with_cfg(cfg);
-        assert!(dram.push(0, Request { id: 0, addr: 0, bytes: 64, is_write: false }));
-        assert!(dram.push(0, Request { id: 1, addr: 0, bytes: 64, is_write: false }));
-        assert!(!dram.push(0, Request { id: 2, addr: 0, bytes: 64, is_write: false }));
+        assert!(dram.push(Request { id: 0, addr: 0, bytes: 64, is_write: false }));
+        assert!(dram.push(Request { id: 1, addr: 0, bytes: 64, is_write: false }));
+        assert!(!dram.push(Request { id: 2, addr: 0, bytes: 64, is_write: false }));
         assert!(!dram.can_accept(0));
     }
 
     #[test]
     fn stats_account_reads_and_writes() {
         let mut dram = DramSim::new(DramKind::Ddr3);
-        dram.push(0, Request { id: 0, addr: 0, bytes: 64, is_write: false });
-        dram.push(0, Request { id: 1, addr: 256, bytes: 128, is_write: true });
+        dram.push(Request { id: 0, addr: 0, bytes: 64, is_write: false });
+        dram.push(Request { id: 1, addr: 256, bytes: 128, is_write: true });
         run_until_drained(&mut dram, 100_000);
         let s = dram.stats();
         assert_eq!(s.read_bytes, 64);
@@ -501,7 +495,7 @@ mod tests {
             ..DramModelCfg::of_kind(DramKind::Ddr3)
         };
         let mut dram = DramSim::with_cfg(cfg);
-        dram.push(0, Request { id: 9, addr: 0, bytes: 64, is_write: false });
+        dram.push(Request { id: 9, addr: 0, bytes: 64, is_write: false });
         // One tick schedules the request; its completion time is now known.
         let mut out = Vec::new();
         dram.tick(1, &mut out);
@@ -547,7 +541,7 @@ mod tests {
             while recv < total {
                 cycle += 1;
                 while sent < total && dram.can_accept(sent) {
-                    dram.push(cycle, Request { id: sent, addr: sent, bytes: 256, is_write: false });
+                    dram.push(Request { id: sent, addr: sent, bytes: 256, is_write: false });
                     sent += 256;
                 }
                 out.clear();

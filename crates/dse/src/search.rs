@@ -25,9 +25,9 @@
 use crate::cost::{estimate, CostEstimate, CostModel};
 use crate::knobs::KnobConfig;
 use plasticine_arch::{ChipSpec, SystemSpec};
-use sara_core::compile::compile;
-use sara_core::profile::StallReason;
+use sara_core::compile::{compile, Compiled};
 use sara_core::report::{bottleneck_summary, ResourceReport};
+use sara_ir::Program;
 use sara_util::pool::run_points;
 use std::collections::HashSet;
 
@@ -85,6 +85,37 @@ pub struct EvalPoint {
 }
 
 impl EvalPoint {
+    /// A point that failed to compile: infeasible, with no estimate.
+    pub fn infeasible(knobs: &KnobConfig) -> EvalPoint {
+        EvalPoint {
+            knobs: knobs.clone(),
+            estimate: None,
+            report: None,
+            feasible: false,
+            simulated: None,
+            dram_blocked_frac: None,
+            bottleneck: None,
+        }
+    }
+
+    /// A compiled point with its cost estimate and resource report.
+    /// Multi-chip systems admit aggregate demand across all chips; the
+    /// sharding pass and per-chip PnR settle the balance later.
+    pub fn compiled(
+        knobs: &KnobConfig,
+        program: &Program,
+        compiled: &Compiled,
+        system: &SystemSpec,
+    ) -> EvalPoint {
+        let r = compiled.report;
+        EvalPoint {
+            estimate: Some(estimate(program, compiled, &system.chip)),
+            report: Some(r),
+            feasible: system.can_fit(r.pcus as u32, r.pmus as u32, r.ags as u32),
+            ..EvalPoint::infeasible(knobs)
+        }
+    }
+
     fn raw(&self) -> f64 {
         self.estimate.as_ref().map_or(f64::INFINITY, |e| e.raw_cycles)
     }
@@ -336,32 +367,10 @@ pub fn autotune_with(
 /// knob application) are `Err`.
 pub fn evaluate(knobs: &KnobConfig) -> Result<EvalPoint, String> {
     let system = knobs.system_spec()?;
-    let chip = system.chip.clone();
     let p = knobs.build_program()?;
-    let infeasible = |knobs: &KnobConfig| EvalPoint {
-        knobs: knobs.clone(),
-        estimate: None,
-        report: None,
-        feasible: false,
-        simulated: None,
-        dram_blocked_frac: None,
-        bottleneck: None,
-    };
-    let Ok(compiled) = compile(&p, &chip, &knobs.compiler_options()) else {
-        return Ok(infeasible(knobs));
-    };
-    let r = compiled.report;
-    // Multi-chip systems admit aggregate demand across all chips; the
-    // sharding pass and per-chip PnR settle the balance later.
-    let feasible = system.can_fit(r.pcus as u32, r.pmus as u32, r.ags as u32);
-    Ok(EvalPoint {
-        estimate: Some(estimate(&p, &compiled, &chip)),
-        report: Some(r),
-        feasible,
-        knobs: knobs.clone(),
-        simulated: None,
-        dram_blocked_frac: None,
-        bottleneck: None,
+    Ok(match compile(&p, &system.chip, &knobs.compiler_options()) {
+        Ok(compiled) => EvalPoint::compiled(knobs, &p, &compiled, &system),
+        Err(_) => EvalPoint::infeasible(knobs),
     })
 }
 
@@ -371,35 +380,24 @@ pub fn evaluate(knobs: &KnobConfig) -> Result<EvalPoint, String> {
 /// an unprofiled replay reproduces.
 fn simulate_point(p: &mut EvalPoint) -> Result<(), String> {
     let system = p.knobs.system_spec()?;
-    let chip = system.chip.clone();
     let prog = p.knobs.build_program()?;
-    let compiled =
-        compile(&prog, &chip, &p.knobs.compiler_options()).map_err(|e| format!("compile: {e}"))?;
+    let compiled = compile(&prog, &system.chip, &p.knobs.compiler_options())
+        .map_err(|e| format!("compile: {e}"))?;
     let mut g = compiled.vudfg;
-    let cfg = plasticine_sim::SimConfig::profiled();
-    let out = if system.count > 1 {
-        let pnr = sara_pnr::place_and_route_system(
-            &mut g,
-            &compiled.assignment,
-            &system,
-            p.knobs.pnr_seed,
-        )
-        .map_err(|e| format!("pnr: {e}"))?;
-        plasticine_sim::simulate_system(&g, &system, &pnr.plan, &cfg)
-            .map_err(|e| format!("sim: {e}"))?
-    } else {
-        sara_pnr::place_and_route(&mut g, &compiled.assignment, &chip, p.knobs.pnr_seed)
+    // A 1-chip system places and simulates bit-identically to the
+    // single-chip entry points.
+    let pnr =
+        sara_pnr::place_and_route_system(&mut g, &compiled.assignment, &system, p.knobs.pnr_seed)
             .map_err(|e| format!("pnr: {e}"))?;
-        plasticine_sim::simulate(&g, &chip, &cfg).map_err(|e| format!("sim: {e}"))?
-    };
+    let cfg = plasticine_sim::SimConfig::profiled();
+    let out = plasticine_sim::simulate_system(&g, &system, &pnr.plan, &cfg)
+        .map_err(|e| format!("sim: {e}"))?;
     let profile = out
         .profile
         .as_ref()
         .ok_or_else(|| "sim: profiled config returned no profile".to_string())?;
-    let total: u64 = profile.vcus.iter().map(|v| v.total_cycles()).sum();
-    let dram: u64 = profile.vcus.iter().map(|v| v.stalled(StallReason::DramBlocked)).sum();
     p.simulated = Some(out.cycles);
-    p.dram_blocked_frac = Some(if total == 0 { 0.0 } else { dram as f64 / total as f64 });
+    p.dram_blocked_frac = Some(profile.dram_blocked_frac());
     p.bottleneck = Some(bottleneck_summary(profile, 3));
     Ok(())
 }

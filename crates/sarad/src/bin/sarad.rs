@@ -10,7 +10,7 @@
 //! arrives on the endpoint. Exits 2 on usage errors, 1 on service
 //! failures, with one-line diagnostics.
 
-use sarad::server::{default_cache_dir, default_socket, parse_budget};
+use sarad::server::parse_budget;
 use sarad::ServerOptions;
 use std::path::PathBuf;
 
@@ -24,11 +24,10 @@ fn usage() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = ServerOptions {
-        socket: default_socket(),
-        cache_dir: default_cache_dir(),
-        ..ServerOptions::default()
-    };
+    let mut opts = ServerOptions::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let mut i = 0;
     let value = |args: &[String], i: &mut usize, flag: &str| -> String {
         *i += 1;

@@ -6,15 +6,15 @@
 //!
 //! ```text
 //! compile_key = H(domain, program_canon, options_canon, system_canon)
-//! place_key   = H(domain, compile_key, pnr_seed)
-//! sim_key     = H(domain, place_key, scheduler)
+//! place_key   = H("sarad-place-v2", compile_key, pnr_seed)
+//! sim_key     = H("sarad-sim-v2", place_key)
 //! ```
 //!
 //! Any change to any field of the request tuple changes exactly the
-//! stage keys downstream of it: a new PnR seed reuses the compile
-//! artifact but re-places; a scheduler change reuses the placement but
-//! re-simulates. The system canon ([`plasticine_arch::SystemSpec::canon`]) is
-//! field-complete over the *whole* topology — chip geometry, unit
+//! stage keys downstream of it: a new PnR seed reuses the compiled
+//! design but re-places and re-simulates. The system canon
+//! ([`plasticine_arch::SystemSpec::canon`]) is field-complete over the
+//! *whole* topology — chip geometry, unit
 //! capabilities, DRAM technology, chip count, grid shape, and every
 //! link parameter — so two configurations that happen to share a
 //! display name can never alias in the cache (`tests/cache.rs` checks
@@ -32,8 +32,13 @@
 //! * **On-disk store** — placed VUDFGs and sim artifacts in the
 //!   [`Store`](crate::store::Store), content-verified at read time; a
 //!   hash mismatch counts as corruption and forces a recompute, never a
-//!   serve. Lowered VUDFGs are persisted too as the compile stage's
-//!   artifact of record.
+//!   serve. The compile stage is memory-only: nothing reads a lowered
+//!   graph back, and a placement replayed from disk never needs one.
+//!
+//! All three stages run one private cache routine, `Engine::cached`:
+//! memory hit; flight lock and coalesced re-check; pin; verified disk
+//! load; deadline check; miss; compute (which saves, or degrades);
+//! memoize unless the error is a timeout.
 //!
 //! ## Single-flight
 //!
@@ -65,11 +70,10 @@ use sara_core::artifact::{
     compile_key, shard_plan_from_json, shard_plan_json, vudfg_from_json, vudfg_json, StableHasher,
 };
 use sara_core::compile::{compile, Compiled};
-use sara_core::profile::StallReason;
 use sara_core::report::bottleneck_summary;
 use sara_core::shard::ShardPlan;
 use sara_core::vudfg::Vudfg;
-use sara_dse::{estimate, EvalPoint, Evaluator, KnobConfig};
+use sara_dse::{EvalPoint, Evaluator, KnobConfig};
 use sara_util::Json;
 use std::collections::HashMap;
 use std::path::Path;
@@ -80,47 +84,6 @@ use std::time::{Duration, Instant};
 /// Every engine timeout error starts with this prefix; the server maps
 /// it to the typed `"code": "timeout"` response.
 pub const TIMEOUT_PREFIX: &str = "timeout: ";
-
-/// Simulator scheduler selector — part of the sim-stage cache key
-/// (cycle counts are identical across the two, but the service proves
-/// that rather than assuming it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Wakeup-driven active-list scheduler (default).
-    Active,
-    /// Dense reference scheduler.
-    Dense,
-}
-
-impl Scheduler {
-    /// Stable protocol name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheduler::Active => "active",
-            Scheduler::Dense => "dense",
-        }
-    }
-
-    /// Parse a protocol name.
-    ///
-    /// # Errors
-    ///
-    /// On anything other than `"active"` or `"dense"`.
-    pub fn parse(s: &str) -> Result<Scheduler, String> {
-        match s {
-            "active" => Ok(Scheduler::Active),
-            "dense" => Ok(Scheduler::Dense),
-            other => Err(format!("unknown scheduler {other:?} (active|dense)")),
-        }
-    }
-
-    /// Simulator configuration for this scheduler, with profiling on:
-    /// profiling never changes cycle counts and the profile scalars are
-    /// part of the sim artifact.
-    fn config(self) -> SimConfig {
-        SimConfig { profile: true, dense: self == Scheduler::Dense, ..SimConfig::default() }
-    }
-}
 
 /// A per-request compute deadline, checked at stage boundaries. Work
 /// completed before the deadline stays cached, so a retried request
@@ -166,7 +129,7 @@ pub struct StageKeys {
     pub sim: String,
 }
 
-/// Derive the stage keys for a knob configuration and scheduler.
+/// Derive the stage keys for a knob configuration.
 ///
 /// The compile key is [`sara_core::artifact::compile_key`]: it hashes
 /// the *field-complete* [`plasticine_arch::SystemSpec::canon`] of the target (with any
@@ -179,7 +142,7 @@ pub struct StageKeys {
 ///
 /// When the knobs name an unknown chip/system or cannot build a
 /// program.
-pub fn stage_keys(knobs: &KnobConfig, scheduler: Scheduler) -> Result<StageKeys, String> {
+pub fn stage_keys(knobs: &KnobConfig) -> Result<StageKeys, String> {
     let program = knobs.build_program()?;
     let system = knobs.system_spec()?;
     let compile = compile_key(&program, &knobs.compiler_options(), &system);
@@ -187,7 +150,7 @@ pub fn stage_keys(knobs: &KnobConfig, scheduler: Scheduler) -> Result<StageKeys,
     h.str("sarad-place-v2").str(&compile).u64(knobs.pnr_seed);
     let place = h.hex();
     let mut h = StableHasher::new();
-    h.str("sarad-sim-v1").str(&place).str(scheduler.name());
+    h.str("sarad-sim-v2").str(&place);
     Ok(StageKeys { compile, place, sim: h.hex() })
 }
 
@@ -210,12 +173,10 @@ impl SimArtifact {
             .profile
             .as_ref()
             .ok_or_else(|| "sim: profiled run returned no profile".to_string())?;
-        let total: u64 = profile.vcus.iter().map(|v| v.total_cycles()).sum();
-        let dram: u64 = profile.vcus.iter().map(|v| v.stalled(StallReason::DramBlocked)).sum();
         Ok(SimArtifact {
             cycles: out.cycles,
             firings: out.stats.firings,
-            dram_blocked_frac: if total == 0 { 0.0 } else { dram as f64 / total as f64 },
+            dram_blocked_frac: profile.dram_blocked_frac(),
             bottleneck: bottleneck_summary(profile, 3),
         })
     }
@@ -343,18 +304,32 @@ impl Placed {
     }
 }
 
-type CompileEntry = Result<Arc<Compiled>, String>;
-type PlaceEntry = Result<Arc<Placed>, String>;
-type SimEntry = Result<SimArtifact, String>;
+/// Reads a stage artifact back from its verified disk payload.
+type Decode<T> = fn(&Json) -> Result<T, String>;
+
+/// One stage's in-memory index (key → artifact, or the cached error)
+/// and, for a stage that persists its artifacts, their disk decoder.
+#[derive(Debug)]
+struct StageCache<T> {
+    name: &'static str,
+    memo: Mutex<HashMap<String, Result<T, String>>>,
+    decode: Option<Decode<T>>,
+}
+
+impl<T> StageCache<T> {
+    fn new(name: &'static str, decode: Option<Decode<T>>) -> Self {
+        StageCache { name, memo: Mutex::new(HashMap::new()), decode }
+    }
+}
 
 /// The cached pipeline engine shared by the socket server and the
 /// in-process [`CachedEval`] autotune backend.
 #[derive(Debug)]
 pub struct Engine {
     store: Store,
-    compiled: Mutex<HashMap<String, CompileEntry>>,
-    placed: Mutex<HashMap<String, PlaceEntry>>,
-    sims: Mutex<HashMap<String, SimEntry>>,
+    compiled: StageCache<Arc<Compiled>>,
+    placed: StageCache<Arc<Placed>>,
+    sims: StageCache<SimArtifact>,
     flights: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     /// Artificial per-stage compute latency — a chaos/test hook for
     /// exercising deadlines and watchdogs; `None` in production.
@@ -388,9 +363,9 @@ impl Engine {
     ) -> Result<Engine, String> {
         Ok(Engine {
             store: Store::open_with(cache_dir, budget, faults)?,
-            compiled: Mutex::new(HashMap::new()),
-            placed: Mutex::new(HashMap::new()),
-            sims: Mutex::new(HashMap::new()),
+            compiled: StageCache::new("compile", None),
+            placed: StageCache::new("place", Some(|v| Placed::from_json(v).map(Arc::new))),
+            sims: StageCache::new("sim", Some(SimArtifact::from_json)),
             flights: Mutex::new(HashMap::new()),
             stage_delay: Mutex::new(None),
             stats: Stats::default(),
@@ -454,11 +429,86 @@ impl Engine {
         }
     }
 
+    /// The cache protocol every stage runs: serve `key` from memory;
+    /// else take the key's flight lock and re-check (a coalesced
+    /// waiter); else, for a stage that persists, pin the key and serve
+    /// a verified disk artifact; else check the deadline, count a miss
+    /// and `compute` (which saves its own artifact). The result, error
+    /// or not, is memoized unless it is a timeout — the deadline gates
+    /// computation, never a hit, and a retry must be able to resume.
+    fn cached<T: Clone>(
+        &self,
+        cache: &StageCache<T>,
+        key: &str,
+        (hits, misses): (&AtomicU64, &AtomicU64),
+        deadline: Deadline,
+        progress: Progress,
+        compute: impl FnOnce(Progress) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let stage = cache.name;
+        if let Some(entry) = cache.memo.lock().expect("stage cache poisoned").get(key) {
+            Stats::bump(hits);
+            progress(stage, "hit");
+            return entry.clone();
+        }
+        let fl = self.flight(key);
+        let _g = fl.lock().expect("flight lock poisoned");
+        if let Some(entry) = cache.memo.lock().expect("stage cache poisoned").get(key) {
+            Stats::bump(hits);
+            Stats::bump(&self.stats.coalesced);
+            progress(stage, "hit");
+            return entry.clone();
+        }
+        let _pin = cache.decode.map(|_| self.store.pin(stage, key));
+        let disk = cache.decode.and_then(|decode| match self.store.load(stage, key) {
+            // A verified envelope whose payload does not decode is
+            // corruption too: recompute, never serve.
+            StoreRead::Hit(payload) => {
+                decode(&payload).map_err(|_| Stats::bump(&self.stats.corrupt_detected)).ok()
+            }
+            StoreRead::Corrupt(_) => {
+                Stats::bump(&self.stats.corrupt_detected);
+                None
+            }
+            StoreRead::Failed(_) => {
+                Stats::bump(&self.stats.degraded);
+                None
+            }
+            StoreRead::Miss => None,
+        });
+        let entry = if let Some(v) = disk {
+            Stats::bump(hits);
+            Stats::bump(&self.stats.disk_hits);
+            progress(stage, "disk-hit");
+            Ok(v)
+        } else if let Err(e) = deadline.check(stage) {
+            Stats::bump(&self.stats.timeouts);
+            Err(e)
+        } else {
+            Stats::bump(misses);
+            progress(stage, "miss");
+            compute(progress)
+        };
+        if !matches!(&entry, Err(e) if e.starts_with(TIMEOUT_PREFIX)) {
+            cache.memo.lock().expect("stage cache poisoned").insert(key.to_string(), entry.clone());
+        }
+        self.flight_done(key);
+        entry
+    }
+
+    /// A deadline check between a nested stage and this one's compute:
+    /// work the nested stage finished stays cached, and this request
+    /// stops instead of starting work it cannot afford.
+    fn recheck(&self, deadline: Deadline, stage: &str) -> Result<(), String> {
+        deadline.check(stage).inspect_err(|_| Stats::bump(&self.stats.timeouts))
+    }
+
     /// Compile stage: lowered VUDFG + reports, keyed by
-    /// (program, options, system). Compilation itself is chip-local —
-    /// sharding happens at placement — but the key covers the full
-    /// topology so downstream stages can never alias. Failures are
-    /// cached as errors so a hopeless point never compiles twice.
+    /// (program, options, system), held in memory only. Compilation
+    /// itself is chip-local — sharding happens at placement — but the
+    /// key covers the full topology so downstream stages can never
+    /// alias. Failures are cached as errors so a hopeless point never
+    /// compiles twice.
     ///
     /// # Errors
     ///
@@ -472,56 +522,16 @@ impl Engine {
         deadline: Deadline,
         progress: Progress,
     ) -> Result<Arc<Compiled>, String> {
-        if let Some(entry) =
-            self.compiled.lock().expect("compile cache poisoned").get(&keys.compile)
-        {
-            Stats::bump(&self.stats.compile_hits);
-            progress("compile", "hit");
-            return entry.clone();
-        }
-        let fl = self.flight(&keys.compile);
-        let _g = fl.lock().expect("flight lock poisoned");
-        if let Some(entry) =
-            self.compiled.lock().expect("compile cache poisoned").get(&keys.compile)
-        {
-            Stats::bump(&self.stats.compile_hits);
-            Stats::bump(&self.stats.coalesced);
-            progress("compile", "hit");
-            return entry.clone();
-        }
-        // The deadline gates the *computation*, never a cache hit, and a
-        // timeout is returned before anything is cached — so it is never
-        // memoized as a negative entry.
-        if let Err(e) = deadline.check("compile") {
-            Stats::bump(&self.stats.timeouts);
-            self.flight_done(&keys.compile);
-            return Err(e);
-        }
-        Stats::bump(&self.stats.compile_misses);
-        progress("compile", "miss");
-        let _pin = self.store.pin("compile", &keys.compile);
-        let entry: CompileEntry = (|| {
+        let counters = (&self.stats.compile_hits, &self.stats.compile_misses);
+        self.cached(&self.compiled, &keys.compile, counters, deadline, progress, |_| {
             self.apply_stage_delay();
             let program = knobs.build_program()?;
             let system = knobs.system_spec()?;
             Stats::bump(&self.stats.compiles_run);
             let compiled = compile(&program, &system.chip, &knobs.compiler_options())
                 .map_err(|e| format!("compile: {e}"))?;
-            // Artifact of record: the lowered graph, content-addressed.
-            let payload = Json::object()
-                .set("vudfg", vudfg_json(&compiled.vudfg))
-                .set("pcus", compiled.report.pcus)
-                .set("pmus", compiled.report.pmus)
-                .set("ags", compiled.report.ags);
-            self.save_or_degrade("compile", &keys.compile, &payload);
             Ok(Arc::new(compiled))
-        })();
-        self.compiled
-            .lock()
-            .expect("compile cache poisoned")
-            .insert(keys.compile.clone(), entry.clone());
-        self.flight_done(&keys.compile);
-        entry
+        })
     }
 
     /// Place stage: PnR'd VUDFG (plus the shard plan for multi-chip
@@ -540,60 +550,10 @@ impl Engine {
         deadline: Deadline,
         progress: Progress,
     ) -> Result<Arc<Placed>, String> {
-        if let Some(entry) = self.placed.lock().expect("place cache poisoned").get(&keys.place) {
-            Stats::bump(&self.stats.place_hits);
-            progress("place", "hit");
-            return entry.clone();
-        }
-        let fl = self.flight(&keys.place);
-        let _g = fl.lock().expect("flight lock poisoned");
-        if let Some(entry) = self.placed.lock().expect("place cache poisoned").get(&keys.place) {
-            Stats::bump(&self.stats.place_hits);
-            Stats::bump(&self.stats.coalesced);
-            progress("place", "hit");
-            return entry.clone();
-        }
-        let _pin = self.store.pin("place", &keys.place);
-        // Disk: a placed graph from a previous service run replays
-        // without recompiling or re-placing.
-        match self.store.load("place", &keys.place) {
-            StoreRead::Hit(payload) => {
-                if let Ok(p) = Placed::from_json(&payload) {
-                    let entry: PlaceEntry = Ok(Arc::new(p));
-                    Stats::bump(&self.stats.place_hits);
-                    Stats::bump(&self.stats.disk_hits);
-                    progress("place", "disk-hit");
-                    self.placed
-                        .lock()
-                        .expect("place cache poisoned")
-                        .insert(keys.place.clone(), entry.clone());
-                    self.flight_done(&keys.place);
-                    return entry;
-                }
-                // Verified envelope but undecodable payload: treat as
-                // corruption and fall through to recompute.
-                Stats::bump(&self.stats.corrupt_detected);
-            }
-            StoreRead::Corrupt(_) => Stats::bump(&self.stats.corrupt_detected),
-            StoreRead::Failed(_) => Stats::bump(&self.stats.degraded),
-            StoreRead::Miss => {}
-        }
-        if let Err(e) = deadline.check("place") {
-            Stats::bump(&self.stats.timeouts);
-            self.flight_done(&keys.place);
-            return Err(e);
-        }
-        Stats::bump(&self.stats.place_misses);
-        progress("place", "miss");
-        let entry: PlaceEntry = (|| {
+        let counters = (&self.stats.place_hits, &self.stats.place_misses);
+        self.cached(&self.placed, &keys.place, counters, deadline, progress, |progress| {
             let compiled = self.compile_stage(knobs, keys, deadline, progress)?;
-            // Re-check after the nested stage: a compile that consumed
-            // the whole budget stays cached, and this request stops here
-            // instead of starting a PnR it cannot afford.
-            if let Err(e) = deadline.check("place") {
-                Stats::bump(&self.stats.timeouts);
-                return Err(e);
-            }
+            self.recheck(deadline, "place")?;
             let system = knobs.system_spec()?;
             let mut g = compiled.vudfg.clone();
             self.apply_stage_delay();
@@ -612,24 +572,12 @@ impl Engine {
             let placed = Placed { vudfg: g, plan };
             self.save_or_degrade("place", &keys.place, &placed.to_json());
             Ok(Arc::new(placed))
-        })();
-        if let Err(e) = &entry {
-            // A timeout inside the nested compile stage must not be
-            // memoized as a permanent placement failure.
-            if e.starts_with(TIMEOUT_PREFIX) {
-                self.flight_done(&keys.place);
-                return entry;
-            }
-        }
-        self.placed.lock().expect("place cache poisoned").insert(keys.place.clone(), entry.clone());
-        self.flight_done(&keys.place);
-        entry
+        })
     }
 
-    /// Sim stage: cycles + profile scalars keyed by
-    /// (place_key, scheduler). Cached sim results are bit-identical to
-    /// fresh computation (`tests/cache.rs` proves it for both
-    /// schedulers).
+    /// Sim stage: cycles + profile scalars keyed by the placement.
+    /// Cached sim results are bit-identical to fresh computation
+    /// (`tests/cache.rs` proves it).
     ///
     /// # Errors
     ///
@@ -638,83 +586,29 @@ impl Engine {
     pub fn sim_stage(
         &self,
         knobs: &KnobConfig,
-        scheduler: Scheduler,
         keys: &StageKeys,
         deadline: Deadline,
         progress: Progress,
     ) -> Result<SimArtifact, String> {
-        if let Some(entry) = self.sims.lock().expect("sim cache poisoned").get(&keys.sim) {
-            Stats::bump(&self.stats.sim_hits);
-            progress("sim", "hit");
-            return entry.clone();
-        }
-        let fl = self.flight(&keys.sim);
-        let _g = fl.lock().expect("flight lock poisoned");
-        if let Some(entry) = self.sims.lock().expect("sim cache poisoned").get(&keys.sim) {
-            Stats::bump(&self.stats.sim_hits);
-            Stats::bump(&self.stats.coalesced);
-            progress("sim", "hit");
-            return entry.clone();
-        }
-        let _pin = self.store.pin("sim", &keys.sim);
-        match self.store.load("sim", &keys.sim) {
-            StoreRead::Hit(payload) => {
-                if let Ok(art) = SimArtifact::from_json(&payload) {
-                    Stats::bump(&self.stats.sim_hits);
-                    Stats::bump(&self.stats.disk_hits);
-                    progress("sim", "disk-hit");
-                    self.sims
-                        .lock()
-                        .expect("sim cache poisoned")
-                        .insert(keys.sim.clone(), Ok(art.clone()));
-                    self.flight_done(&keys.sim);
-                    return Ok(art);
-                }
-                Stats::bump(&self.stats.corrupt_detected);
-            }
-            StoreRead::Corrupt(_) => Stats::bump(&self.stats.corrupt_detected),
-            StoreRead::Failed(_) => Stats::bump(&self.stats.degraded),
-            StoreRead::Miss => {}
-        }
-        if let Err(e) = deadline.check("sim") {
-            Stats::bump(&self.stats.timeouts);
-            self.flight_done(&keys.sim);
-            return Err(e);
-        }
-        Stats::bump(&self.stats.sim_misses);
-        progress("sim", "miss");
-        let entry: SimEntry = (|| {
+        let counters = (&self.stats.sim_hits, &self.stats.sim_misses);
+        self.cached(&self.sims, &keys.sim, counters, deadline, progress, |progress| {
             let placed = self.place_stage(knobs, keys, deadline, progress)?;
-            if let Err(e) = deadline.check("sim") {
-                Stats::bump(&self.stats.timeouts);
-                return Err(e);
-            }
+            self.recheck(deadline, "sim")?;
             let system = knobs.system_spec()?;
             self.apply_stage_delay();
             Stats::bump(&self.stats.sims_run);
+            // Profiling never changes cycle counts, and the profile
+            // scalars are part of the artifact.
+            let cfg = SimConfig::profiled();
             let out = match &placed.plan {
-                Some(plan) => plasticine_sim::simulate_system(
-                    &placed.vudfg,
-                    &system,
-                    plan,
-                    &scheduler.config(),
-                ),
-                None => plasticine_sim::simulate(&placed.vudfg, &system.chip, &scheduler.config()),
+                Some(plan) => plasticine_sim::simulate_system(&placed.vudfg, &system, plan, &cfg),
+                None => plasticine_sim::simulate(&placed.vudfg, &system.chip, &cfg),
             }
             .map_err(|e| format!("sim: {e}"))?;
             let art = SimArtifact::from_outcome(&out)?;
             self.save_or_degrade("sim", &keys.sim, &art.to_json());
             Ok(art)
-        })();
-        if let Err(e) = &entry {
-            if e.starts_with(TIMEOUT_PREFIX) {
-                self.flight_done(&keys.sim);
-                return entry;
-            }
-        }
-        self.sims.lock().expect("sim cache poisoned").insert(keys.sim.clone(), entry.clone());
-        self.flight_done(&keys.sim);
-        entry
+        })
     }
 
     /// Run the full pipeline for one request tuple.
@@ -725,10 +619,9 @@ impl Engine {
     pub fn run(
         &self,
         knobs: &KnobConfig,
-        scheduler: Scheduler,
         progress: Progress,
     ) -> Result<(StageKeys, SimArtifact), String> {
-        self.run_with(knobs, scheduler, Deadline::none(), progress)
+        self.run_with(knobs, Deadline::none(), progress)
     }
 
     /// [`Engine::run`] under a per-request deadline.
@@ -740,12 +633,11 @@ impl Engine {
     pub fn run_with(
         &self,
         knobs: &KnobConfig,
-        scheduler: Scheduler,
         deadline: Deadline,
         progress: Progress,
     ) -> Result<(StageKeys, SimArtifact), String> {
-        let keys = stage_keys(knobs, scheduler)?;
-        let art = self.sim_stage(knobs, scheduler, &keys, deadline, progress)?;
+        let keys = stage_keys(knobs)?;
+        let art = self.sim_stage(knobs, &keys, deadline, progress)?;
         Ok((keys, art))
     }
 }
@@ -778,36 +670,17 @@ impl Evaluator for CachedEval {
         // capacity.
         let system = knobs.system_spec()?;
         let program = knobs.build_program()?;
-        let keys = stage_keys(knobs, Scheduler::Active)?;
+        let keys = stage_keys(knobs)?;
         let mut sink = no_progress();
-        match self.engine.compile_stage(knobs, &keys, Deadline::none(), &mut sink) {
-            Ok(compiled) => {
-                let r = compiled.report;
-                Ok(EvalPoint {
-                    estimate: Some(estimate(&program, &compiled, &system.chip)),
-                    report: Some(r),
-                    feasible: system.can_fit(r.pcus as u32, r.pmus as u32, r.ags as u32),
-                    knobs: knobs.clone(),
-                    simulated: None,
-                    dram_blocked_frac: None,
-                    bottleneck: None,
-                })
-            }
-            Err(_) => Ok(EvalPoint {
-                knobs: knobs.clone(),
-                estimate: None,
-                report: None,
-                feasible: false,
-                simulated: None,
-                dram_blocked_frac: None,
-                bottleneck: None,
-            }),
-        }
+        Ok(match self.engine.compile_stage(knobs, &keys, Deadline::none(), &mut sink) {
+            Ok(compiled) => EvalPoint::compiled(knobs, &program, &compiled, &system),
+            Err(_) => EvalPoint::infeasible(knobs),
+        })
     }
 
     fn simulate(&self, point: &mut EvalPoint) -> Result<(), String> {
         let mut sink = no_progress();
-        let (_, art) = self.engine.run(&point.knobs, Scheduler::Active, &mut sink)?;
+        let (_, art) = self.engine.run(&point.knobs, &mut sink)?;
         point.simulated = Some(art.cycles);
         point.dram_blocked_frac = Some(art.dram_blocked_frac);
         point.bottleneck = Some(art.bottleneck);

@@ -13,7 +13,7 @@
 //! | op         | fields                                               |
 //! |------------|------------------------------------------------------|
 //! | `ping`     | —                                                    |
-//! | `run`      | `knobs` (knob JSON) *or* `workload`/`chip`/`pnr_seed`; optional `scheduler` (`active`\|`dense`), `deadline_ms` |
+//! | `run`      | `knobs` (knob JSON) *or* `workload`/`chip`/`pnr_seed`; optional `deadline_ms` |
 //! | `autotune` | `workload`; optional `budget`, `seed`, `chip`        |
 //! | `stats`    | —                                                    |
 //! | `delay`    | `ms` — occupies a worker (deterministic backpressure tests) |
@@ -25,7 +25,7 @@
 //! (`deadline_ms` elapsed between stages — completed stages are cached,
 //! so an immediate retry resumes from the last finished stage).
 
-use crate::engine::{stage_keys, CachedEval, Deadline, Engine, Scheduler, TIMEOUT_PREFIX};
+use crate::engine::{stage_keys, CachedEval, Deadline, Engine, TIMEOUT_PREFIX};
 use crate::net::{Conn, Endpoint, Listener};
 use sara_dse::{autotune_with, speedup, KnobConfig, SearchOptions};
 use sara_util::pool::{JobQueue, PushError};
@@ -63,18 +63,28 @@ impl ServerOptions {
     pub fn endpoint(&self) -> Endpoint {
         Endpoint::parse(&self.socket.to_string_lossy())
     }
-}
 
-impl Default for ServerOptions {
-    fn default() -> Self {
-        let cache_dir = default_cache_dir();
-        ServerOptions {
-            socket: cache_dir.join("sarad.sock"),
+    /// The service defaults, as the environment sets them: the socket
+    /// from [`default_socket`], the cache directory from
+    /// [`default_cache_dir`], the byte budget from
+    /// `$SARAD_CACHE_BUDGET` (bytes, with an optional `k`/`m`/`g`
+    /// suffix; unset means unbounded), 2 workers and a queue of 16.
+    ///
+    /// # Errors
+    ///
+    /// When `$SARAD_CACHE_BUDGET` is set but is not a byte count.
+    pub fn from_env() -> Result<ServerOptions, String> {
+        let cache_budget = std::env::var_os("SARAD_CACHE_BUDGET")
+            .map(|v| parse_budget(&v.to_string_lossy()))
+            .transpose()
+            .map_err(|e| format!("SARAD_CACHE_BUDGET: {e}"))?;
+        Ok(ServerOptions {
+            socket: default_socket(),
             workers: 2,
             queue: 16,
-            cache_dir,
-            cache_budget: default_cache_budget(),
-        }
+            cache_dir: default_cache_dir(),
+            cache_budget,
+        })
     }
 }
 
@@ -240,16 +250,11 @@ fn request_knobs(req: &Json) -> Result<KnobConfig, String> {
 }
 
 fn handle_run(req: &Json, engine: &Arc<Engine>, out: &mut Conn) {
-    let scheduler =
-        match Scheduler::parse(req.get("scheduler").and_then(Json::as_str).unwrap_or("active")) {
-            Ok(s) => s,
-            Err(e) => return write_line(out, &error_line(&e)),
-        };
     let knobs = match request_knobs(req) {
         Ok(k) => k,
         Err(e) => return write_line(out, &error_line(&e)),
     };
-    let keys = match stage_keys(&knobs, scheduler) {
+    let keys = match stage_keys(&knobs) {
         Ok(k) => k,
         Err(e) => return write_line(out, &error_line(&e)),
     };
@@ -269,7 +274,7 @@ fn handle_run(req: &Json, engine: &Arc<Engine>, out: &mut Conn) {
             );
         }
     };
-    match engine.sim_stage(&knobs, scheduler, &keys, deadline, &mut progress) {
+    match engine.sim_stage(&knobs, &keys, deadline, &mut progress) {
         Ok(art) => write_line(
             out,
             &Json::object()
@@ -348,12 +353,6 @@ pub fn default_cache_dir() -> PathBuf {
         .or_else(|_| std::env::var("LOGNAME"))
         .unwrap_or_else(|_| "anon".to_string());
     std::env::temp_dir().join(format!("sarad-{user}"))
-}
-
-/// Default store byte budget: `$SARAD_CACHE_BUDGET` (bytes, with an
-/// optional `k`/`m`/`g` suffix), else unbounded.
-pub fn default_cache_budget() -> Option<u64> {
-    std::env::var("SARAD_CACHE_BUDGET").ok().and_then(|v| parse_budget(&v).ok())
 }
 
 /// Parse a byte-budget string: a plain integer, or one with a binary

@@ -10,9 +10,9 @@
 //! * **Byte budget + cost-aware LRU eviction.** With a configured
 //!   budget, a write that would exceed it first evicts artifacts that
 //!   are *cheapest to recompute*: every `sim` artifact is considered
-//!   before any `place` artifact, and every `place` before any
-//!   `compile` (a sim re-run costs milliseconds; a recompile costs the
-//!   whole pipeline). Within a stage, least-recently-used goes first.
+//!   before any `place` artifact (a sim re-run costs milliseconds; a
+//!   re-place costs a compile and an anneal). Within a stage,
+//!   least-recently-used goes first.
 //!   Keys pinned by in-flight requests are never evicted. The budget is
 //!   a hard ceiling: the store's on-disk bytes never exceed it.
 //! * **Crash recovery on open.** Orphaned `.{key}.tmp.<pid>` files left
@@ -39,8 +39,9 @@ pub const STORE_FORMAT: &str = "sarad-artifact-v1";
 
 /// The stage directories the open-time scan rebuilds the index from,
 /// ordered by recompute cost: earlier entries are cheaper to recompute
-/// and therefore evicted first.
-pub const STAGES_BY_EVICTION_PRIORITY: [&str; 3] = ["sim", "place", "compile"];
+/// and therefore evicted first. Any other directory (such as the
+/// `compile/` an older engine wrote) is neither indexed nor evicted.
+pub const STAGES_BY_EVICTION_PRIORITY: [&str; 2] = ["sim", "place"];
 
 fn stage_rank(stage: &str) -> usize {
     STAGES_BY_EVICTION_PRIORITY.iter().position(|s| *s == stage).unwrap_or(usize::MAX)
@@ -141,20 +142,6 @@ pub struct StoreCounters {
     pub quarantined: AtomicU64,
     /// Saves refused or failed (budget, injected or real I/O errors).
     pub save_failures: AtomicU64,
-}
-
-impl StoreCounters {
-    /// Render every counter.
-    pub fn json(&self) -> Json {
-        let g = |c: &AtomicU64| i64::try_from(c.load(Ordering::Relaxed)).unwrap_or(i64::MAX);
-        Json::object()
-            .set("store_bytes", g(&self.bytes))
-            .set("evictions", g(&self.evictions))
-            .set("evicted_bytes", g(&self.evicted_bytes))
-            .set("tmp_swept", g(&self.tmp_swept))
-            .set("quarantined", g(&self.quarantined))
-            .set("save_failures", g(&self.save_failures))
-    }
 }
 
 #[derive(Debug)]
@@ -391,7 +378,7 @@ impl Store {
 
     /// Evict unpinned artifacts until `need` more bytes fit under the
     /// budget. Victims are chosen cheapest-to-recompute first (every
-    /// sim before any place before any compile), LRU within a stage.
+    /// sim before any place), LRU within a stage.
     fn evict_for(&self, idx: &mut Index, need: u64) {
         let Some(budget) = self.budget else { return };
         while idx.bytes + need > budget {
@@ -663,13 +650,12 @@ mod tests {
     }
 
     #[test]
-    fn eviction_takes_sim_before_place_before_compile() {
+    fn eviction_takes_sim_before_place() {
         let dir = tmp_dir("rank");
         let s = Store::open_with(&dir, Some(8192), None).unwrap();
         let p = payload_of_size(1000);
-        // Compile and place artifacts are *older* than the sim ones, so
-        // pure LRU would take them first; cost-aware eviction must not.
-        s.save("compile", "c", &p).unwrap();
+        // The place artifact is *older* than the sim ones, so pure LRU
+        // would take it first; cost-aware eviction must not.
         s.save("place", "p", &p).unwrap();
         s.save("sim", "s1", &p).unwrap();
         s.save("sim", "s2", &p).unwrap();
@@ -677,12 +663,12 @@ mod tests {
         s.save("sim", "s4", &p).unwrap();
         s.save("sim", "s5", &p).unwrap();
         s.save("sim", "s6", &p).unwrap();
+        s.save("sim", "s7", &p).unwrap();
         assert!(s.bytes() <= 8192);
         assert!(
-            matches!(s.load("compile", "c"), StoreRead::Hit(_)),
-            "compile artifact must outlive sim artifacts under pressure"
+            matches!(s.load("place", "p"), StoreRead::Hit(_)),
+            "place artifact must outlive sim artifacts under pressure"
         );
-        assert!(matches!(s.load("place", "p"), StoreRead::Hit(_)));
         assert!(matches!(s.load("sim", "s1"), StoreRead::Miss));
     }
 

@@ -4,15 +4,16 @@
 //! * any single field of the key tuple changed → a miss (distinct keys);
 //! * corrupted on-disk artifact → detected by hash mismatch and
 //!   recomputed, never served;
-//! * served cached sim results bit-identical to fresh computation under
-//!   both schedulers;
+//! * served cached sim results bit-identical to fresh computation;
 //! * cache-warm autotune repeat → zero recompilations, verified via the
-//!   service hit/miss stats.
+//!   service hit/miss stats;
+//! * only placements and simulations reach the disk store.
 
 use plasticine_arch::ChipSpec;
 use sara_dse::{autotune_with, KnobConfig, SearchOptions};
+use sara_util::Json;
 use sarad::engine::{no_progress, Deadline};
-use sarad::{stage_keys, CachedEval, Engine, Scheduler};
+use sarad::{stage_keys, CachedEval, Engine};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -33,45 +34,41 @@ fn repeat_request_hits_and_serves_bit_identical_results() {
     let engine = Engine::open(&tmp_dir("repeat")).unwrap();
     let knobs = knobs_for("dotprod", "8x8", 7);
 
-    for scheduler in [Scheduler::Active, Scheduler::Dense] {
-        let mut sink = no_progress();
-        let (keys_a, art_a) = engine.run(&knobs, scheduler, &mut sink).unwrap();
-        let hits_before = engine.stats.sim_hits.load(Ordering::Relaxed);
-        let sims_before = engine.stats.sims_run.load(Ordering::Relaxed);
-        let (keys_b, art_b) = engine.run(&knobs, scheduler, &mut sink).unwrap();
-        assert_eq!(keys_a, keys_b);
-        assert_eq!(art_a, art_b, "cached artifact must be bit-identical");
-        assert_eq!(
-            engine.stats.sim_hits.load(Ordering::Relaxed),
-            hits_before + 1,
-            "second identical request must be a sim-stage hit"
-        );
-        assert_eq!(
-            engine.stats.sims_run.load(Ordering::Relaxed),
-            sims_before,
-            "second identical request must not re-simulate"
-        );
+    let mut sink = no_progress();
+    let (keys_a, art_a) = engine.run(&knobs, &mut sink).unwrap();
+    let hits_before = engine.stats.sim_hits.load(Ordering::Relaxed);
+    let sims_before = engine.stats.sims_run.load(Ordering::Relaxed);
+    let (keys_b, art_b) = engine.run(&knobs, &mut sink).unwrap();
+    assert_eq!(keys_a, keys_b);
+    assert_eq!(art_a, art_b, "cached artifact must be bit-identical");
+    assert_eq!(
+        engine.stats.sim_hits.load(Ordering::Relaxed),
+        hits_before + 1,
+        "second identical request must be a sim-stage hit"
+    );
+    assert_eq!(
+        engine.stats.sims_run.load(Ordering::Relaxed),
+        sims_before,
+        "second identical request must not re-simulate"
+    );
 
-        // Bit-identity against a fresh, cacheless computation.
-        let chip = ChipSpec::small_8x8();
-        let opts = knobs.compiler_options();
-        let mut compiled =
-            sara_core::compile::compile(&knobs.build_program().unwrap(), &chip, &opts).unwrap();
-        sara_pnr::place_and_route(&mut compiled.vudfg, &compiled.assignment, &chip, 7).unwrap();
-        let cfg = plasticine_sim::SimConfig {
-            dense: scheduler == Scheduler::Dense,
-            ..plasticine_sim::SimConfig::default()
-        };
-        let fresh = plasticine_sim::simulate(&compiled.vudfg, &chip, &cfg).unwrap();
-        assert_eq!(art_a.cycles, fresh.cycles, "cached cycles != fresh ({scheduler:?})");
-        assert_eq!(art_a.firings, fresh.stats.firings, "cached firings != fresh ({scheduler:?})");
-    }
+    // Bit-identity against a fresh, cacheless computation.
+    let chip = ChipSpec::small_8x8();
+    let opts = knobs.compiler_options();
+    let mut compiled =
+        sara_core::compile::compile(&knobs.build_program().unwrap(), &chip, &opts).unwrap();
+    sara_pnr::place_and_route(&mut compiled.vudfg, &compiled.assignment, &chip, 7).unwrap();
+    let fresh =
+        plasticine_sim::simulate(&compiled.vudfg, &chip, &plasticine_sim::SimConfig::default())
+            .unwrap();
+    assert_eq!(art_a.cycles, fresh.cycles, "cached cycles != fresh");
+    assert_eq!(art_a.firings, fresh.stats.firings, "cached firings != fresh");
 }
 
 #[test]
 fn any_single_key_field_change_is_a_miss() {
     let base = knobs_for("dotprod", "8x8", 7);
-    let base_keys = stage_keys(&base, Scheduler::Active).unwrap();
+    let base_keys = stage_keys(&base).unwrap();
 
     // Different workload (program text).
     let other_workload = knobs_for("gemm", "8x8", 7);
@@ -92,23 +89,17 @@ fn any_single_key_field_change_is_a_miss() {
         ("flag", &other_flag),
         ("par", &other_par),
     ] {
-        let keys = stage_keys(k, Scheduler::Active).unwrap();
+        let keys = stage_keys(k).unwrap();
         assert_ne!(keys.sim, base_keys.sim, "{what}: sim key must change");
         assert_ne!(keys.place, base_keys.place, "{what}: place key must change");
         assert_ne!(keys.compile, base_keys.compile, "{what}: compile key must change");
     }
 
     // A seed change invalidates place/sim but reuses the compile stage.
-    let seed_keys = stage_keys(&other_seed, Scheduler::Active).unwrap();
+    let seed_keys = stage_keys(&other_seed).unwrap();
     assert_eq!(seed_keys.compile, base_keys.compile, "seed must not invalidate the compile");
     assert_ne!(seed_keys.place, base_keys.place);
     assert_ne!(seed_keys.sim, base_keys.sim);
-
-    // A scheduler change invalidates only the sim stage.
-    let dense_keys = stage_keys(&base, Scheduler::Dense).unwrap();
-    assert_eq!(dense_keys.compile, base_keys.compile);
-    assert_eq!(dense_keys.place, base_keys.place);
-    assert_ne!(dense_keys.sim, base_keys.sim);
 }
 
 #[test]
@@ -118,7 +109,7 @@ fn every_topology_field_invalidates_the_compile_key() {
     // from the others — a cached artifact can never alias across
     // topologies.
     let base = knobs_for("dotprod", "2x8x8", 7);
-    let base_keys = stage_keys(&base, Scheduler::Active).unwrap();
+    let base_keys = stage_keys(&base).unwrap();
 
     let more_chips = knobs_for("dotprod", "4x8x8", 7);
     let other_chip_kind = knobs_for("dotprod", "2x16x8", 7);
@@ -136,7 +127,7 @@ fn every_topology_field_invalidates_the_compile_key() {
         ("link latency", &slow_link),
         ("link bandwidth", &wide_link),
     ] {
-        let keys = stage_keys(k, Scheduler::Active).unwrap();
+        let keys = stage_keys(k).unwrap();
         for (prev, key) in &seen {
             assert_ne!(&keys.compile, key, "{what} must not alias {prev}");
         }
@@ -176,7 +167,7 @@ fn multi_chip_requests_run_replay_and_match_direct_simulation() {
     let (art, placed) = {
         let engine = Engine::open(&dir).unwrap();
         let mut sink = no_progress();
-        let (keys, art) = engine.run(&knobs, Scheduler::Active, &mut sink).unwrap();
+        let (keys, art) = engine.run(&knobs, &mut sink).unwrap();
         let placed = engine.place_stage(&knobs, &keys, Deadline::none(), &mut sink).unwrap();
         (art, placed)
     };
@@ -206,7 +197,7 @@ fn multi_chip_requests_run_replay_and_match_direct_simulation() {
     // included — without recompiling or re-placing.
     let engine = Engine::open(&dir).unwrap();
     let mut sink = no_progress();
-    let keys = stage_keys(&knobs, Scheduler::Active).unwrap();
+    let keys = stage_keys(&knobs).unwrap();
     let replayed = engine.place_stage(&knobs, &keys, Deadline::none(), &mut sink).unwrap();
     assert_eq!(*replayed, *placed, "disk replay must reproduce the placed artifact exactly");
     assert_eq!(engine.stats.compiles_run.load(Ordering::Relaxed), 0, "no recompile");
@@ -217,12 +208,12 @@ fn multi_chip_requests_run_replay_and_match_direct_simulation() {
 fn corrupted_disk_artifact_is_detected_and_recomputed_never_served() {
     let dir = tmp_dir("corrupt");
     let knobs = knobs_for("dotprod", "8x8", 7);
-    let keys = stage_keys(&knobs, Scheduler::Active).unwrap();
+    let keys = stage_keys(&knobs).unwrap();
 
     let art = {
         let engine = Engine::open(&dir).unwrap();
         let mut sink = no_progress();
-        engine.run(&knobs, Scheduler::Active, &mut sink).unwrap().1
+        engine.run(&knobs, &mut sink).unwrap().1
     };
 
     // Tamper with the sim artifact on disk: valid JSON, wrong cycles.
@@ -235,7 +226,7 @@ fn corrupted_disk_artifact_is_detected_and_recomputed_never_served() {
     // serve the tampered value: hash mismatch → recompute.
     let engine = Engine::open(&dir).unwrap();
     let mut sink = no_progress();
-    let (_, art2) = engine.run(&knobs, Scheduler::Active, &mut sink).unwrap();
+    let (_, art2) = engine.run(&knobs, &mut sink).unwrap();
     assert_eq!(art2, art, "recomputed artifact must match the original, not the tampered file");
     assert!(
         engine.stats.corrupt_detected.load(Ordering::Relaxed) >= 1,
@@ -247,7 +238,7 @@ fn corrupted_disk_artifact_is_detected_and_recomputed_never_served() {
     // disk without simulating at all.
     let engine3 = Engine::open(&dir).unwrap();
     let mut sink = no_progress();
-    let (_, art3) = engine3.run(&knobs, Scheduler::Active, &mut sink).unwrap();
+    let (_, art3) = engine3.run(&knobs, &mut sink).unwrap();
     assert_eq!(art3, art);
     assert_eq!(engine3.stats.sims_run.load(Ordering::Relaxed), 0);
     assert!(engine3.stats.disk_hits.load(Ordering::Relaxed) >= 1);
@@ -260,18 +251,36 @@ fn placed_artifact_replays_from_disk_without_recompiling() {
     {
         let engine = Engine::open(&dir).unwrap();
         let mut sink = no_progress();
-        engine.run(&knobs, Scheduler::Active, &mut sink).unwrap();
+        engine.run(&knobs, &mut sink).unwrap();
         assert_eq!(engine.stats.compiles_run.load(Ordering::Relaxed), 1);
     }
-    // New process (fresh memory): a dense-scheduler request needs the
-    // placement but not the compiler — the placed graph replays from the
-    // verified store.
+    // New process (fresh memory) with the sim artifact gone: the request
+    // needs the placement but not the compiler — the placed graph
+    // replays from the verified store.
+    std::fs::remove_dir_all(dir.join("sim")).unwrap();
     let engine = Engine::open(&dir).unwrap();
     let mut sink = no_progress();
-    engine.run(&knobs, Scheduler::Dense, &mut sink).unwrap();
+    engine.run(&knobs, &mut sink).unwrap();
     assert_eq!(engine.stats.compiles_run.load(Ordering::Relaxed), 0, "no recompile");
     assert_eq!(engine.stats.pnrs_run.load(Ordering::Relaxed), 0, "no re-place");
-    assert_eq!(engine.stats.sims_run.load(Ordering::Relaxed), 1, "dense sim is new");
+    assert_eq!(engine.stats.sims_run.load(Ordering::Relaxed), 1, "the sim is rerun");
+}
+
+#[test]
+fn only_placements_and_simulations_reach_the_disk_store() {
+    let dir = tmp_dir("stages");
+    let engine = Engine::open(&dir).unwrap();
+    let mut sink = no_progress();
+    engine.run(&knobs_for("gemm", "8x8", 7), &mut sink).unwrap();
+    assert!(!dir.join("compile").exists(), "the compile stage is memory-only");
+    let on_disk: u64 = ["place", "sim"]
+        .iter()
+        .flat_map(|stage| std::fs::read_dir(dir.join(stage)).unwrap())
+        .map(|entry| entry.unwrap().metadata().unwrap().len())
+        .sum();
+    let store_bytes = engine.stats_json().get("store_bytes").and_then(Json::as_u64);
+    assert!(on_disk > 0);
+    assert_eq!(store_bytes, Some(on_disk), "store_bytes counts exactly place/ and sim/");
 }
 
 #[test]
@@ -284,7 +293,7 @@ fn concurrent_identical_requests_coalesce_to_one_simulation() {
             let knobs = knobs.clone();
             scope.spawn(move || {
                 let mut sink = no_progress();
-                engine.run(&knobs, Scheduler::Active, &mut sink).unwrap();
+                engine.run(&knobs, &mut sink).unwrap();
             });
         }
     });
@@ -344,7 +353,7 @@ fn eviction_pressure_keeps_results_bit_identical_and_budget_holds() {
     let mut reference = Vec::new();
     for k in &tuples {
         let mut sink = no_progress();
-        reference.push(clean.run(k, Scheduler::Active, &mut sink).unwrap().1);
+        reference.push(clean.run(k, &mut sink).unwrap().1);
     }
     let total = clean.store().bytes();
     assert!(total > 0);
@@ -363,7 +372,7 @@ fn eviction_pressure_keeps_results_bit_identical_and_budget_holds() {
             // re-compute, or degraded compute — all must agree).
             let engine = Engine::open_with(&tight, Some(budget), None).unwrap();
             let mut sink = no_progress();
-            let (_, art) = engine.run(k, Scheduler::Active, &mut sink).unwrap();
+            let (_, art) = engine.run(k, &mut sink).unwrap();
             assert_eq!(
                 &art, expect,
                 "pass {pass}: results under eviction pressure must be bit-identical to fresh"

@@ -9,7 +9,7 @@
 //! * quarantined evidence is preserved on disk, never deleted.
 
 use sarad::engine::no_progress;
-use sarad::{stage_keys, Engine, Scheduler, StoreRead};
+use sarad::{stage_keys, Engine, StoreRead};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 
@@ -31,7 +31,7 @@ fn stale_writer_tmp_files_are_swept_on_open_and_artifacts_still_serve() {
     let art = {
         let engine = Engine::open(&dir).unwrap();
         let mut sink = no_progress();
-        engine.run(&knobs, Scheduler::Active, &mut sink).unwrap().1
+        engine.run(&knobs, &mut sink).unwrap().1
     };
 
     // Plant writer droppings of the exact shape an interrupted save
@@ -50,7 +50,7 @@ fn stale_writer_tmp_files_are_swept_on_open_and_artifacts_still_serve() {
 
     // The live artifacts survived the sweep and still serve from disk.
     let mut sink = no_progress();
-    let (_, again) = engine.run(&knobs, Scheduler::Active, &mut sink).unwrap();
+    let (_, again) = engine.run(&knobs, &mut sink).unwrap();
     assert_eq!(again, art);
     assert_eq!(engine.stats.sims_run.load(Ordering::Relaxed), 0, "must serve, not recompute");
 }
@@ -59,11 +59,11 @@ fn stale_writer_tmp_files_are_swept_on_open_and_artifacts_still_serve() {
 fn kill_nine_mid_write_restarts_clean_and_recomputes() {
     let dir = tmp_dir("kill9");
     let knobs = knobs_for(7);
-    let keys = stage_keys(&knobs, Scheduler::Active).unwrap();
+    let keys = stage_keys(&knobs).unwrap();
     let art = {
         let engine = Engine::open(&dir).unwrap();
         let mut sink = no_progress();
-        engine.run(&knobs, Scheduler::Active, &mut sink).unwrap().1
+        engine.run(&knobs, &mut sink).unwrap().1
     };
 
     // Simulate dying mid-rename: the sim artifact is torn at its final
@@ -76,7 +76,7 @@ fn kill_nine_mid_write_restarts_clean_and_recomputes() {
     let engine = Engine::open(&dir).unwrap();
     assert!(engine.store().counters.tmp_swept.load(Ordering::Relaxed) >= 1);
     let mut sink = no_progress();
-    let (_, recomputed) = engine.run(&knobs, Scheduler::Active, &mut sink).unwrap();
+    let (_, recomputed) = engine.run(&knobs, &mut sink).unwrap();
     assert_eq!(
         recomputed, art,
         "recovery must recompute the exact artifact, not serve the torn one"

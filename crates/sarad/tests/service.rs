@@ -198,10 +198,6 @@ fn protocol_errors_are_typed_not_fatal() {
     assert!(e.to_string().contains("unknown workload"));
     let e = client.call(&Json::object().set("op", "run")).unwrap_err();
     assert!(e.to_string().contains("workload"));
-    let e = client
-        .call(&Json::object().set("op", "run").set("workload", "dotprod").set("scheduler", "warp"))
-        .unwrap_err();
-    assert!(e.to_string().contains("unknown scheduler"));
 
     // Still alive.
     let pong = client.call(&Json::object().set("op", "ping")).unwrap();
@@ -378,4 +374,37 @@ fn deadline_timeout_is_typed_and_retry_resumes_from_cached_stages() {
 
     client.shutdown().unwrap();
     serve.join().unwrap();
+}
+
+#[test]
+fn malformed_cache_budget_env_is_a_usage_error() {
+    // A budget the service cannot parse must stop it with exit 2 and a
+    // one-line diagnostic, as `--cache-budget lots` does — never serve
+    // unbounded. Killed after a few seconds if it is serving instead.
+    let cache = tmp("bad-budget-cache");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_sarad"))
+        .env("SARAD_CACHE_BUDGET", "lots")
+        .env("SARAD_CACHE_DIR", &cache)
+        .env("SARAD_SOCKET", tmp("bad-budget.sock"))
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn sarad");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break Some(status);
+        }
+        if std::time::Instant::now() >= deadline {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    let _ = std::fs::remove_dir_all(&cache);
+    assert_eq!(status.and_then(|s| s.code()), Some(2), "want exit 2, stderr:\n{stderr}");
+    assert!(stderr.starts_with("error:") && stderr.contains("SARAD_CACHE_BUDGET"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "want a one-line diagnostic, got:\n{stderr}");
 }

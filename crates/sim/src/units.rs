@@ -1601,7 +1601,7 @@ impl AgRt {
         }
         // ---- issue ----
         while let Some(req) = self.to_issue.front() {
-            if dram.push(ctx.now, *req) {
+            if dram.push(*req) {
                 let run_id = req.id & 0xFFFF_FFFF;
                 if let Some(fl) = self.inflight.get_mut(&run_id) {
                     fl.issued_at = ctx.now;
@@ -1736,7 +1736,7 @@ impl AgRt {
                 });
             }
             let req = fl.req;
-            if dram.push(now, req) {
+            if dram.push(req) {
                 let fl = self.inflight.get_mut(&run_id).expect("present");
                 fl.issued_at = now;
                 fl.retries += 1;

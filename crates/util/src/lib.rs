@@ -3,10 +3,9 @@
 //! Shared, dependency-free infrastructure used across the workspace:
 //!
 //! * [`pool`] — the parallel point-evaluation pool (scoped threads,
-//!   deterministic result ordering, per-point panic isolation). Moved
-//!   here from `sara_bench::sweep` so crates below the bench harness
-//!   (notably `sara-dse`) can fan candidate evaluations out without a
-//!   dependency cycle; `sara_bench::sweep` re-exports it unchanged.
+//!   deterministic result ordering, per-point panic isolation). It lives
+//!   here so crates below the bench harness (notably `sara-dse`) can fan
+//!   candidate evaluations out without a dependency cycle.
 //! * [`json`] — the minimal JSON value type with insertion-ordered
 //!   object keys, plus a parser so replayable artifacts (knob configs,
 //!   fault plans' JSON sidecars) can be read back.

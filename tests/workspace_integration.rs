@@ -49,7 +49,7 @@ fn deterministic_end_to_end() {
 fn deterministic_under_parallel_harness() {
     let chip = ChipSpec::small_8x8();
     let points: Vec<&str> = vec!["gemm", "gemm", "dotprod", "dotprod", "gemm", "dotprod"];
-    let results = sara_bench::sweep::run_points_on(4, &points, |name| {
+    let results = sara_util::pool::run_points_on(4, &points, |name| {
         let w = sara_workloads::by_name(name).unwrap();
         let mut c =
             compile(&w.program, &chip, &CompilerOptions::default()).map_err(|e| e.to_string())?;
