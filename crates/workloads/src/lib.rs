@@ -30,4 +30,4 @@ pub mod registry;
 pub mod sort;
 pub mod streamk;
 
-pub use registry::{all_small, by_name, Workload};
+pub use registry::{all_small, by_name, names, Workload};
