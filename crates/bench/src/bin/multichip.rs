@@ -103,11 +103,8 @@ fn eval(pt: &Pt) -> Result<Out, String> {
 
 fn main() {
     let smoke = sara_bench::smoke();
-    let workloads: Vec<&'static str> = if smoke {
-        PARALLEL.to_vec()
-    } else {
-        sara_workloads::all_small().iter().map(|w| w.name).collect()
-    };
+    let workloads: Vec<&'static str> =
+        if smoke { PARALLEL.to_vec() } else { sara_workloads::names() };
     let counts: &[u32] = if smoke { &[1, 4] } else { &[1, 2, 4] };
     let points: Vec<Pt> = workloads
         .iter()

@@ -106,7 +106,7 @@ fn dot_of(g: &Vudfg) -> String {
 /// `--sweep`: every registry workload through compile (+PnR, optionally
 /// simulation) in parallel, one summary line per workload.
 fn sweep_all(chip: &ChipSpec, do_sim: bool) -> ! {
-    let names: Vec<&'static str> = sara_workloads::all_small().iter().map(|w| w.name).collect();
+    let names = sara_workloads::names();
     let results = pool::run_points(&names, |name| {
         let w = sara_workloads::by_name(name).ok_or("unknown workload")?;
         let mut compiled =
@@ -343,10 +343,7 @@ fn main() {
             "       sarac --connect ENDPOINT [<workload> [--autotune] | --stats | --shutdown] \
              [--no-fallback]"
         );
-        eprintln!(
-            "workloads: {}",
-            sara_workloads::all_small().iter().map(|w| w.name).collect::<Vec<_>>().join(", ")
-        );
+        eprintln!("workloads: {}", sara_workloads::names().join(", "));
         std::process::exit(2);
     }
     let mut name: Option<String> = None;

@@ -61,7 +61,7 @@ fn main() {
     // exit-2 contract as the simulating binaries (this table only runs
     // the interpreter, so no profile artifacts are produced).
     sara_bench::cli::parse_profile_dir_flag();
-    let mut names: Vec<&'static str> = sara_workloads::all_small().iter().map(|w| w.name).collect();
+    let mut names = sara_workloads::names();
     if sara_bench::smoke() {
         names.truncate(4);
     }

@@ -175,8 +175,7 @@ pub fn run_system_with(
 /// known names) or the failing pipeline phase.
 pub fn run_workload(name: &str, chip: &ChipSpec, opts: &CompilerOptions) -> Result<Run, String> {
     let w = sara_workloads::by_name(name).ok_or_else(|| {
-        let known: Vec<&str> = sara_workloads::all_small().iter().map(|w| w.name).collect();
-        format!("unknown workload {name:?} (known: {})", known.join(", "))
+        format!("unknown workload {name:?} (known: {})", sara_workloads::names().join(", "))
     })?;
     run(&w.program, chip, opts)
 }

@@ -87,7 +87,7 @@ fn parse_args() -> Result<Args, String> {
     let workloads = match (workload, all) {
         (Some(_), true) => return Err("--workload and --all are mutually exclusive".into()),
         (Some(w), false) => vec![w],
-        (None, true) => sara_workloads::all_small().iter().map(|w| w.name.to_string()).collect(),
+        (None, true) => sara_workloads::names().into_iter().map(String::from).collect(),
         (None, false) => return Err("one of --workload or --all is required".into()),
     };
     let out_dir = out_dir.unwrap_or_else(|| {
