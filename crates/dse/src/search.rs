@@ -25,9 +25,8 @@
 use crate::cost::{estimate, CostEstimate, CostModel};
 use crate::knobs::KnobConfig;
 use plasticine_arch::{ChipSpec, SystemSpec};
-use sara_core::compile::{compile, Compiled};
+use sara_core::compile::compile;
 use sara_core::report::{bottleneck_summary, ResourceReport};
-use sara_ir::Program;
 use sara_util::pool::run_points;
 use std::collections::HashSet;
 
@@ -103,15 +102,14 @@ impl EvalPoint {
     /// sharding pass and per-chip PnR settle the balance later.
     pub fn compiled(
         knobs: &KnobConfig,
-        program: &Program,
-        compiled: &Compiled,
+        estimate: CostEstimate,
+        report: ResourceReport,
         system: &SystemSpec,
     ) -> EvalPoint {
-        let r = compiled.report;
         EvalPoint {
-            estimate: Some(estimate(program, compiled, &system.chip)),
-            report: Some(r),
-            feasible: system.can_fit(r.pcus as u32, r.pmus as u32, r.ags as u32),
+            estimate: Some(estimate),
+            report: Some(report),
+            feasible: system.can_fit(report.pcus as u32, report.pmus as u32, report.ags as u32),
             ..EvalPoint::infeasible(knobs)
         }
     }
@@ -369,7 +367,10 @@ pub fn evaluate(knobs: &KnobConfig) -> Result<EvalPoint, String> {
     let system = knobs.system_spec()?;
     let p = knobs.build_program()?;
     Ok(match compile(&p, &system.chip, &knobs.compiler_options()) {
-        Ok(compiled) => EvalPoint::compiled(knobs, &p, &compiled, &system),
+        Ok(compiled) => {
+            let cost = estimate(&p, &compiled, &system.chip);
+            EvalPoint::compiled(knobs, cost, compiled.report, &system)
+        }
         Err(_) => EvalPoint::infeasible(knobs),
     })
 }

@@ -11,8 +11,9 @@
 //!   budget, a write that would exceed it first evicts artifacts that
 //!   are *cheapest to recompute*: every `sim` artifact is considered
 //!   before any `place` artifact (a sim re-run costs milliseconds; a
-//!   re-place costs a compile and an anneal). Within a stage,
-//!   least-recently-used goes first.
+//!   re-place costs a compile and an anneal), and every `place` before
+//!   any `eval` artifact (about 460 B that spare a restarted engine a
+//!   compile). Within a stage, least-recently-used goes first.
 //!   Keys pinned by in-flight requests are never evicted. The budget is
 //!   a hard ceiling: the store's on-disk bytes never exceed it.
 //! * **Crash recovery on open.** Orphaned `.{key}.tmp.<pid>` files left
@@ -38,10 +39,10 @@ use std::sync::Mutex;
 pub const STORE_FORMAT: &str = "sarad-artifact-v1";
 
 /// The stage directories the open-time scan rebuilds the index from,
-/// ordered by recompute cost: earlier entries are cheaper to recompute
-/// and therefore evicted first. Any other directory (such as the
+/// in eviction order: earlier entries are cheaper to recompute for the
+/// bytes they hold and therefore evicted first. Any other directory (such as the
 /// `compile/` an older engine wrote) is neither indexed nor evicted.
-pub const STAGES_BY_EVICTION_PRIORITY: [&str; 2] = ["sim", "place"];
+pub const STAGES_BY_EVICTION_PRIORITY: [&str; 3] = ["sim", "place", "eval"];
 
 fn stage_rank(stage: &str) -> usize {
     STAGES_BY_EVICTION_PRIORITY.iter().position(|s| *s == stage).unwrap_or(usize::MAX)
@@ -378,7 +379,8 @@ impl Store {
 
     /// Evict unpinned artifacts until `need` more bytes fit under the
     /// budget. Victims are chosen cheapest-to-recompute first (every
-    /// sim before any place), LRU within a stage.
+    /// sim before any place, every place before any eval), LRU within a
+    /// stage.
     fn evict_for(&self, idx: &mut Index, need: u64) {
         let Some(budget) = self.budget else { return };
         while idx.bytes + need > budget {
@@ -670,6 +672,36 @@ mod tests {
             "place artifact must outlive sim artifacts under pressure"
         );
         assert!(matches!(s.load("sim", "s1"), StoreRead::Miss));
+    }
+
+    #[test]
+    fn eviction_takes_sim_and_place_before_eval() {
+        let dir = tmp_dir("rank-eval");
+        let s = Store::open_with(&dir, Some(8192), None).unwrap();
+        let p = payload_of_size(1000);
+        // The eval artifacts are the oldest, so pure LRU would take them
+        // first; every sim and place artifact must go before any of them.
+        let mut evals = vec!["e0".to_string(), "e1".to_string()];
+        for key in &evals {
+            s.save("eval", key, &p).unwrap();
+        }
+        let cheap = [("place", "p1"), ("place", "p2"), ("sim", "s1"), ("sim", "s2")];
+        for (stage, key) in cheap {
+            s.save(stage, key, &p).unwrap();
+        }
+        while cheap.iter().any(|(stage, key)| s.path(stage, key).exists()) {
+            let key = format!("e{}", evals.len());
+            s.save("eval", &key, &p).unwrap();
+            evals.push(key);
+            assert!(s.bytes() <= 8192);
+            for key in &evals {
+                assert!(s.path("eval", key).exists(), "eval/{key} went before a sim or place");
+            }
+        }
+        assert!(s.counters.evictions.load(Ordering::Relaxed) >= 4);
+        assert!(matches!(s.load("eval", "e0"), StoreRead::Hit(_)));
+        // A reopened store indexes the eval artifacts too.
+        assert_eq!(Store::open(&dir).unwrap().bytes(), s.bytes());
     }
 
     #[test]
