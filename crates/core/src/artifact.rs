@@ -148,7 +148,7 @@ pub fn shard_plan_json(p: &ShardPlan) -> Json {
         .set("count", p.count)
         .set("chip_of", Json::Array(p.chip_of.iter().map(|&c| Json::from(c)).collect()))
         .set("crossings", Json::Array(p.crossings.iter().map(|s| Json::from(s.0)).collect()))
-        .set("cut_traffic", Json::Str(format!("f{:016x}", p.cut_traffic.to_bits())))
+        .set("cut_traffic", f64_bits(p.cut_traffic))
 }
 
 /// Deserialize a [`ShardPlan`] from its JSON wire form.
@@ -171,11 +171,8 @@ pub fn shard_plan_from_json(v: &Json) -> Result<ShardPlan, String> {
         .map(|e| u32_of(e, "crossing stream id").map(StreamId))
         .collect::<Result<Vec<StreamId>, String>>()?;
     let cut = get_str(v, "cut_traffic")?;
-    let cut_traffic = cut
-        .strip_prefix('f')
-        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-        .map(f64::from_bits)
-        .ok_or_else(|| format!("shard plan: bad cut_traffic {cut:?}"))?;
+    let cut_traffic =
+        f64_from_bits(cut).ok_or_else(|| format!("shard plan: bad cut_traffic {cut:?}"))?;
     Ok(ShardPlan { count: get_u32(v, "count")?, chip_of, crossings, cut_traffic })
 }
 
@@ -183,22 +180,32 @@ pub fn shard_plan_from_json(v: &Json) -> Result<ShardPlan, String> {
 // Elem / operator encoding
 // ---------------------------------------------------------------------------
 
+/// Bit-exact float encoding, `"f<16-hex IEEE-754 bits>"`: round-trips
+/// NaN payloads and -0.0, which a decimal rendering would not.
+pub fn f64_bits(v: f64) -> String {
+    format!("f{:016x}", v.to_bits())
+}
+
+/// Read back a float written by [`f64_bits`]; `None` for any other
+/// text.
+pub fn f64_from_bits(s: &str) -> Option<f64> {
+    s.strip_prefix('f').and_then(|hex| u64::from_str_radix(hex, 16).ok()).map(f64::from_bits)
+}
+
 /// Bit-exact element encoding: integers as `"i<decimal>"`, floats as
-/// `"f<16-hex IEEE-754 bits>"` (round-trips NaN payloads and -0.0).
+/// [`f64_bits`].
 fn elem_str(e: Elem) -> String {
     match e {
         Elem::I64(v) => format!("i{v}"),
-        Elem::F64(v) => format!("f{:016x}", v.to_bits()),
+        Elem::F64(v) => f64_bits(v),
     }
 }
 
 fn elem_from(s: &str) -> Result<Elem, String> {
     if let Some(rest) = s.strip_prefix('i') {
         rest.parse::<i64>().map(Elem::I64).map_err(|_| format!("bad int element {s:?}"))
-    } else if let Some(rest) = s.strip_prefix('f') {
-        u64::from_str_radix(rest, 16)
-            .map(|bits| Elem::F64(f64::from_bits(bits)))
-            .map_err(|_| format!("bad float element {s:?}"))
+    } else if s.starts_with('f') {
+        f64_from_bits(s).map(Elem::F64).ok_or_else(|| format!("bad float element {s:?}"))
     } else {
         Err(format!("bad element {s:?}"))
     }
