@@ -72,8 +72,9 @@ pub struct ChaosPlan {
     pub seed: u64,
     /// Requests to issue against the fault-injected engine.
     pub ops: usize,
-    /// Store byte budget for the chaotic engine (small on purpose, so
-    /// eviction pressure is constant).
+    /// Store byte budget for the chaotic engine: small on purpose, so
+    /// eviction pressure is constant. The default holds about two of the
+    /// five tuples' sim artifacts (about 950 B each).
     pub budget: u64,
     /// Percent of saves publishing a torn file.
     pub torn_write_pct: u8,
@@ -98,7 +99,7 @@ impl ChaosPlan {
         ChaosPlan {
             seed,
             ops: 40,
-            budget: 48 * 1024,
+            budget: 2 * 1024,
             torn_write_pct: 12,
             orphan_tmp_pct: 8,
             enospc_pct: 10,

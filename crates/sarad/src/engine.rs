@@ -27,31 +27,33 @@
 //! link parameter — so two configurations that happen to share a
 //! display name can never alias in the cache (`tests/cache.rs` checks
 //! each field individually). Multi-chip requests run the sharded
-//! pipeline: the place artifact carries the shard plan alongside the
+//! pipeline: the in-memory placement holds the shard plan alongside the
 //! routed graph, and the sim stage runs the linked multi-chip
 //! simulation.
 //!
 //! ## Cache layers
 //!
 //! * **In-memory index** — full `Compiled` objects, eval artifacts,
-//!   placed graphs, and sim artifacts (including *negative* entries: a
+//!   placements, and sim artifacts (including *negative* entries: a
 //!   compile or PnR failure is cached as its error string, so a
 //!   hopeless point is never re-attempted).
-//! * **On-disk store** — eval artifacts, placed VUDFGs and sim
-//!   artifacts in the [`Store`](crate::store::Store), content-verified
-//!   at read time; a hash mismatch counts as corruption and forces a
-//!   recompute, never a serve. The compile stage is memory-only:
-//!   nothing reads a lowered graph back. A placement replayed from disk
-//!   never needs one, and the eval artifact keeps what
-//!   [`CachedEval::evaluate`] needs from a compile (the cost estimate
-//!   and the resource report, or the compile error), so a restarted
-//!   engine answers evaluations, placements and simulations from disk
-//!   without compiling. Only [`CachedEval`] uses the eval stage.
+//! * **On-disk store** — eval and sim artifacts in the
+//!   [`Store`](crate::store::Store), content-verified at read time; a
+//!   hash mismatch counts as corruption and forces a recompute, never a
+//!   serve. The compile and place stages are memory-only: nothing reads
+//!   a lowered graph back, and a placement is needed only to simulate,
+//!   so a stored one would be read only after its sim artifact was
+//!   lost. The eval artifact keeps what [`CachedEval::evaluate`] needs
+//!   from a compile (the cost estimate and the resource report, or the
+//!   compile error), so a restarted engine answers evaluations and
+//!   simulations from disk without compiling. Only [`CachedEval`] uses
+//!   the eval stage.
 //!
 //! All four stages run one private cache routine, `Engine::cached`:
-//! memory hit; flight lock and coalesced re-check; pin; verified disk
-//! load; deadline check; miss; compute (which saves, or degrades);
-//! memoize unless the error is a timeout.
+//! memory hit; flight lock and coalesced re-check; for the two stages
+//! that persist, pin and verified disk load; deadline check; miss;
+//! compute (which saves, or degrades); memoize unless the error is a
+//! timeout.
 //!
 //! ## Single-flight
 //!
@@ -79,10 +81,7 @@
 
 use crate::store::{Store, StoreFaults, StoreRead};
 use plasticine_sim::{SimConfig, SimOutcome};
-use sara_core::artifact::{
-    compile_key, f64_bits, f64_from_bits, shard_plan_from_json, shard_plan_json, vudfg_from_json,
-    vudfg_json, StableHasher,
-};
+use sara_core::artifact::{compile_key, f64_bits, f64_from_bits, StableHasher};
 use sara_core::compile::{compile, Compiled};
 use sara_core::report::{bottleneck_summary, ResourceReport};
 use sara_core::shard::ShardPlan;
@@ -359,8 +358,8 @@ pub fn no_progress() -> impl FnMut(&str, &str) {
     |_: &str, _: &str| {}
 }
 
-/// A placement artifact: the routed graph plus, for multi-chip systems,
-/// the shard plan the linked simulation needs to model chip crossings.
+/// A placement: the routed graph plus, for multi-chip systems, the
+/// shard plan the linked simulation needs to model chip crossings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placed {
     /// The placed-and-routed VUDFG (crossing streams carry their link
@@ -368,25 +367,6 @@ pub struct Placed {
     pub vudfg: Vudfg,
     /// Where every unit lives; `None` for single-chip placements.
     pub plan: Option<ShardPlan>,
-}
-
-impl Placed {
-    fn to_json(&self) -> Json {
-        let doc = Json::object().set("vudfg", vudfg_json(&self.vudfg));
-        match &self.plan {
-            Some(p) => doc.set("plan", shard_plan_json(p)),
-            None => doc,
-        }
-    }
-
-    fn from_json(v: &Json) -> Result<Placed, String> {
-        let vudfg = vudfg_from_json(v.get("vudfg").ok_or("place artifact: missing vudfg")?)?;
-        let plan = match v.get("plan") {
-            None | Some(Json::Null) => None,
-            Some(p) => Some(shard_plan_from_json(p)?),
-        };
-        Ok(Placed { vudfg, plan })
-    }
 }
 
 /// Reads a stage artifact back from its verified disk payload.
@@ -451,7 +431,7 @@ impl Engine {
             store: Store::open_with(cache_dir, budget, faults)?,
             compiled: StageCache::new("compile", None),
             evals: StageCache::new("eval", Some(EvalArtifact::from_json)),
-            placed: StageCache::new("place", Some(|v| Placed::from_json(v).map(Arc::new))),
+            placed: StageCache::new("place", None),
             sims: StageCache::new("sim", Some(SimArtifact::from_json)),
             flights: Mutex::new(HashMap::new()),
             stage_delay: Mutex::new(None),
@@ -658,9 +638,9 @@ impl Engine {
     }
 
     /// Place stage: PnR'd VUDFG (plus the shard plan for multi-chip
-    /// systems) keyed by (compile_key, pnr_seed). Served from memory,
-    /// then from the verified disk store, then recomputed (via the
-    /// compile stage).
+    /// systems) keyed by (compile_key, pnr_seed), held in memory only
+    /// and computed through the compile stage. A fresh engine whose sim
+    /// artifact is missing recompiles and re-places.
     ///
     /// # Errors
     ///
@@ -692,9 +672,7 @@ impl Engine {
             )
             .map_err(|e| format!("pnr: {e}"))?;
             let plan = (system.count > 1).then_some(pnr.plan);
-            let placed = Placed { vudfg: g, plan };
-            self.save_or_degrade("place", &keys.place, &placed.to_json());
-            Ok(Arc::new(placed))
+            Ok(Arc::new(Placed { vudfg: g, plan }))
         })
     }
 

@@ -9,8 +9,8 @@
 //! * [`engine`] — the staged pipeline with content-addressed caching:
 //!   every stage output is keyed by a stable hash of its inputs
 //!   (program text, compiler options, chip, PnR seed) and served from
-//!   an in-memory index or, for cost estimates, placements and
-//!   simulations, the verified on-disk store. All four stages share one
+//!   an in-memory index or, for cost estimates and simulations, the
+//!   verified on-disk store. All four stages share one
 //!   cache routine, and identical in-flight requests coalesce
 //!   (single-flight). [`engine::CachedEval`] plugs the engine into
 //!   `sara-dse` as an [`Evaluator`](sara_dse::Evaluator) backend, so a

@@ -51,7 +51,7 @@ pub struct ServerOptions {
     /// Artifact-store directory.
     pub cache_dir: PathBuf,
     /// Artifact-store byte budget (`None` = unbounded). Under a budget
-    /// the store evicts cheapest-to-recompute artifacts first and never
+    /// the store evicts sim artifacts before eval artifacts and never
     /// exceeds the ceiling.
     pub cache_budget: Option<u64>,
 }

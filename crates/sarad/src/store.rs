@@ -7,13 +7,10 @@
 //! Beyond the verified envelope, the store is the service's disk-budget
 //! and crash-recovery layer:
 //!
-//! * **Byte budget + cost-aware LRU eviction.** With a configured
-//!   budget, a write that would exceed it first evicts artifacts that
-//!   are *cheapest to recompute*: every `sim` artifact is considered
-//!   before any `place` artifact (a sim re-run costs milliseconds; a
-//!   re-place costs a compile and an anneal), and every `place` before
-//!   any `eval` artifact (about 460 B that spare a restarted engine a
-//!   compile). Within a stage, least-recently-used goes first.
+//! * **Byte budget + stage-ranked LRU eviction.** With a configured
+//!   budget, a write that would exceed it first evicts by stage rank:
+//!   every `sim` artifact is considered before any `eval` artifact.
+//!   Within a stage, least-recently-used goes first.
 //!   Keys pinned by in-flight requests are never evicted. The budget is
 //!   a hard ceiling: the store's on-disk bytes never exceed it.
 //! * **Crash recovery on open.** Orphaned `.{key}.tmp.<pid>` files left
@@ -39,10 +36,11 @@ use std::sync::Mutex;
 pub const STORE_FORMAT: &str = "sarad-artifact-v1";
 
 /// The stage directories the open-time scan rebuilds the index from,
-/// in eviction order: earlier entries are cheaper to recompute for the
-/// bytes they hold and therefore evicted first. Any other directory (such as the
-/// `compile/` an older engine wrote) is neither indexed nor evicted.
-pub const STAGES_BY_EVICTION_PRIORITY: [&str; 3] = ["sim", "place", "eval"];
+/// in eviction order: every artifact of an earlier stage is evicted
+/// before any of a later one. Any other directory (such as the
+/// `compile/` or `place/` an older engine wrote) is neither indexed nor
+/// evicted.
+pub const STAGES_BY_EVICTION_PRIORITY: [&str; 2] = ["sim", "eval"];
 
 fn stage_rank(stage: &str) -> usize {
     STAGES_BY_EVICTION_PRIORITY.iter().position(|s| *s == stage).unwrap_or(usize::MAX)
@@ -378,9 +376,8 @@ impl Store {
     }
 
     /// Evict unpinned artifacts until `need` more bytes fit under the
-    /// budget. Victims are chosen cheapest-to-recompute first (every
-    /// sim before any place, every place before any eval), LRU within a
-    /// stage.
+    /// budget. Victims are chosen by stage rank (every sim before any
+    /// eval), LRU within a stage.
     fn evict_for(&self, idx: &mut Index, need: u64) {
         let Some(budget) = self.budget else { return };
         while idx.bytes + need > budget {
@@ -403,7 +400,7 @@ impl Store {
     /// temporary file + rename so a crash mid-write leaves either the
     /// old artifact or none — never a torn one that would read as
     /// corrupt forever. Under a byte budget the write first evicts
-    /// cheapest-to-recompute artifacts to make room; an artifact that
+    /// artifacts by stage rank to make room; an artifact that
     /// cannot fit (larger than the whole budget, or everything else is
     /// pinned) is refused with an error the engine downgrades to
     /// compute-without-cache.
@@ -577,7 +574,7 @@ mod tests {
             other => panic!("expected hit, got {other:?}"),
         }
         assert!(matches!(s.load("sim", "other"), StoreRead::Miss));
-        assert!(matches!(s.load("place", "k1"), StoreRead::Miss));
+        assert!(matches!(s.load("eval", "k1"), StoreRead::Miss));
     }
 
     #[test]
@@ -620,13 +617,13 @@ mod tests {
         };
         // A crashed writer's leftovers, in two stage dirs.
         std::fs::write(dir.join("sim").join(".dead.tmp.12345"), b"partial").unwrap();
-        std::fs::create_dir_all(dir.join("place")).unwrap();
-        std::fs::write(dir.join("place").join(".dead2.tmp.999"), b"partial").unwrap();
+        std::fs::create_dir_all(dir.join("eval")).unwrap();
+        std::fs::write(dir.join("eval").join(".dead2.tmp.999"), b"partial").unwrap();
 
         let s = Store::open(&dir).unwrap();
         assert_eq!(s.counters.tmp_swept.load(Ordering::Relaxed), 2);
         assert!(!dir.join("sim").join(".dead.tmp.12345").exists());
-        assert!(!dir.join("place").join(".dead2.tmp.999").exists());
+        assert!(!dir.join("eval").join(".dead2.tmp.999").exists());
         // The index rebuilt from disk sees exactly the live artifact.
         assert_eq!(s.bytes(), size);
         assert!(matches!(s.load("sim", "live"), StoreRead::Hit(_)));
@@ -652,53 +649,30 @@ mod tests {
     }
 
     #[test]
-    fn eviction_takes_sim_before_place() {
-        let dir = tmp_dir("rank");
-        let s = Store::open_with(&dir, Some(8192), None).unwrap();
-        let p = payload_of_size(1000);
-        // The place artifact is *older* than the sim ones, so pure LRU
-        // would take it first; cost-aware eviction must not.
-        s.save("place", "p", &p).unwrap();
-        s.save("sim", "s1", &p).unwrap();
-        s.save("sim", "s2", &p).unwrap();
-        s.save("sim", "s3", &p).unwrap();
-        s.save("sim", "s4", &p).unwrap();
-        s.save("sim", "s5", &p).unwrap();
-        s.save("sim", "s6", &p).unwrap();
-        s.save("sim", "s7", &p).unwrap();
-        assert!(s.bytes() <= 8192);
-        assert!(
-            matches!(s.load("place", "p"), StoreRead::Hit(_)),
-            "place artifact must outlive sim artifacts under pressure"
-        );
-        assert!(matches!(s.load("sim", "s1"), StoreRead::Miss));
-    }
-
-    #[test]
-    fn eviction_takes_sim_and_place_before_eval() {
+    fn eviction_takes_sim_before_eval() {
         let dir = tmp_dir("rank-eval");
         let s = Store::open_with(&dir, Some(8192), None).unwrap();
         let p = payload_of_size(1000);
         // The eval artifacts are the oldest, so pure LRU would take them
-        // first; every sim and place artifact must go before any of them.
+        // first; every sim artifact must go before any of them.
         let mut evals = vec!["e0".to_string(), "e1".to_string()];
         for key in &evals {
             s.save("eval", key, &p).unwrap();
         }
-        let cheap = [("place", "p1"), ("place", "p2"), ("sim", "s1"), ("sim", "s2")];
-        for (stage, key) in cheap {
-            s.save(stage, key, &p).unwrap();
+        let sims = ["s1", "s2"];
+        for key in sims {
+            s.save("sim", key, &p).unwrap();
         }
-        while cheap.iter().any(|(stage, key)| s.path(stage, key).exists()) {
+        while sims.iter().any(|key| s.path("sim", key).exists()) {
             let key = format!("e{}", evals.len());
             s.save("eval", &key, &p).unwrap();
             evals.push(key);
             assert!(s.bytes() <= 8192);
             for key in &evals {
-                assert!(s.path("eval", key).exists(), "eval/{key} went before a sim or place");
+                assert!(s.path("eval", key).exists(), "eval/{key} went before a sim");
             }
         }
-        assert!(s.counters.evictions.load(Ordering::Relaxed) >= 4);
+        assert!(s.counters.evictions.load(Ordering::Relaxed) >= 2);
         assert!(matches!(s.load("eval", "e0"), StoreRead::Hit(_)));
         // A reopened store indexes the eval artifacts too.
         assert_eq!(Store::open(&dir).unwrap().bytes(), s.bytes());

@@ -38,6 +38,7 @@ fn seeded_store_soak_upholds_the_recover_or_explain_contract() {
         plan.budget
     );
     assert!(report.restarts > 0 || plan.restart_pct == 0, "seed must exercise restarts");
+    assert!(report.evictions > 0, "the budget must force evictions: {report:?}");
 }
 
 #[test]
@@ -47,6 +48,7 @@ fn second_seed_changes_the_schedule_but_not_the_contract() {
     let progress = AtomicU64::new(0);
     let report = store_soak(&tmp_dir("seed2"), &plan, &progress).expect("contract must hold");
     assert!(report.recovered > 0, "{report:?}");
+    assert!(report.evictions > 0, "the budget must force evictions: {report:?}");
 }
 
 #[test]

@@ -35,9 +35,11 @@ fn stale_writer_tmp_files_are_swept_on_open_and_artifacts_still_serve() {
     };
 
     // Plant writer droppings of the exact shape an interrupted save
-    // leaves behind: `.{key}.tmp.<pid>` next to live artifacts.
+    // leaves behind: `.{key}.tmp.<pid>` next to live artifacts, and in
+    // the eval directory, which `run` never writes.
     std::fs::write(dir.join("sim").join(".deadkey.tmp.4242"), b"half a write").unwrap();
-    std::fs::write(dir.join("place").join(".gone.tmp.1"), b"{").unwrap();
+    std::fs::create_dir_all(dir.join("eval")).unwrap();
+    std::fs::write(dir.join("eval").join(".gone.tmp.1"), b"{").unwrap();
 
     let engine = Engine::open(&dir).unwrap();
     assert_eq!(
@@ -46,7 +48,7 @@ fn stale_writer_tmp_files_are_swept_on_open_and_artifacts_still_serve() {
         "open must sweep every orphaned temp file"
     );
     assert!(!dir.join("sim").join(".deadkey.tmp.4242").exists());
-    assert!(!dir.join("place").join(".gone.tmp.1").exists());
+    assert!(!dir.join("eval").join(".gone.tmp.1").exists());
 
     // The live artifacts survived the sweep and still serve from disk.
     let mut sink = no_progress();
