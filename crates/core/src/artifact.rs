@@ -17,6 +17,9 @@
 //!   write a float by its IEEE-754 bit pattern, not decimal text, so a
 //!   persisted cost estimate reads back bit-identically (NaN payloads
 //!   and `-0.0` included).
+//! * **A design digest** — [`design_digest`] hashes what a compile hands
+//!   to place-and-route, sharding and simulation, so two knob settings
+//!   that compile to one design can share one simulation.
 //!
 //! There is no VUDFG wire form: lowered and placed graphs live only in
 //! the memory of the engine that built them.
@@ -26,9 +29,12 @@
 //! semantic difference must change the text (and therefore the hash);
 //! spurious differences only cost a recompute, never a wrong hit.
 
-use crate::compile::CompilerOptions;
+use crate::compile::{Compiled, CompilerOptions};
+use crate::vudfg::UnitId;
 use plasticine_arch::SystemSpec;
 use sara_ir::Program;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 // ---------------------------------------------------------------------------
 // Stable hashing
@@ -131,6 +137,76 @@ pub fn compile_key(p: &Program, opts: &CompilerOptions, system: &SystemSpec) -> 
     h.hex()
 }
 
+/// Content digest of a compiled design: the whole VUDFG (unit labels,
+/// stream depths and DRAM init data included) and the assignment fields
+/// that place-and-route and sharding read (`pu_type`, `merge`,
+/// `unit_parts` and `extra_latency`). Two compiles with one digest
+/// place, shard and simulate identically on one system under one PnR
+/// seed, whatever knobs produced them. The resource report and the CMMC
+/// statistics are left out: nothing downstream of the compile reads
+/// them.
+///
+/// The structures are walked by their `Hash` impls into a
+/// [`StableHasher`], never through JSON or `Debug` text: integers go in
+/// little-endian, `usize` and enum tags at 64 bits, floats by their bits
+/// (see `sara_ir::Elem`'s `Hash`), and the three `HashMap`s in `UnitId`
+/// order, so every process computes the same digest. Integer slices go
+/// in as native bytes, so a store moved to a big-endian or 32-bit host
+/// misses once; it is never served a wrong entry.
+pub fn design_digest(c: &Compiled) -> String {
+    let mut h = StableHasher::new();
+    let mut feed = HashFeed(&mut h);
+    let a = &c.assignment;
+    c.vudfg.hash(&mut feed);
+    a.merge.hash(&mut feed);
+    by_unit(&a.pu_type).hash(&mut feed);
+    by_unit(&a.unit_parts).hash(&mut feed);
+    by_unit(&a.extra_latency).hash(&mut feed);
+    h.hex()
+}
+
+/// A per-unit map's entries in `UnitId` order.
+fn by_unit<V>(map: &HashMap<UnitId, V>) -> Vec<(&UnitId, &V)> {
+    let mut entries: Vec<_> = map.iter().collect();
+    entries.sort_unstable_by_key(|(u, _)| **u);
+    entries
+}
+
+/// Feeds a `Hash` walk into a [`StableHasher`] with fixed-width
+/// little-endian integers (the std defaults write native-endian bytes,
+/// `usize` at the platform's width).
+struct HashFeed<'a>(&'a mut StableHasher);
+
+impl Hasher for HashFeed<'_> {
+    fn finish(&self) -> u64 {
+        self.0.lo
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.bytes(bytes);
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.0.bytes(&i.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.0.bytes(&i.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0.bytes(&i.to_le_bytes());
+    }
+
+    fn write_u128(&mut self, i: u128) {
+        self.0.bytes(&i.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Float encoding
 // ---------------------------------------------------------------------------
@@ -178,6 +254,63 @@ mod tests {
         // Mutate initial data only: pretty() alone would not see it.
         p.mems[0].init = sara_ir::MemInit::LinSpace { start: 99.0, step: 0.5 };
         assert_ne!(canon, program_canon(&p), "init change must change the canon text");
+    }
+
+    #[test]
+    fn design_digest_is_repeatable_and_sees_every_design_field() {
+        use plasticine_arch::PuType;
+        use sara_ir::Elem;
+
+        // `gemm` has a split unit, so every assignment map is non-empty.
+        let chip = plasticine_arch::ChipSpec::small_8x8();
+        let program = sara_workloads::by_name("gemm").unwrap().program;
+        let compile = || crate::compile::compile(&program, &chip, &CompilerOptions::default());
+        let c = compile().unwrap();
+        let base = design_digest(&c);
+        assert_eq!(design_digest(&compile().unwrap()), base, "a second compile moved the digest");
+        assert_eq!(base.len(), 32);
+
+        fn first<V>(m: &HashMap<UnitId, V>) -> UnitId {
+            *m.keys().min().expect("non-empty map")
+        }
+        type Mutation = (&'static str, fn(&mut Compiled));
+        let mutations: [Mutation; 7] = [
+            ("stream depth", |c| c.vudfg.streams[0].depth += 1),
+            ("unit label", |c| c.vudfg.units[0].label.push('x')),
+            ("DRAM init element", |c| {
+                let e = &mut c.vudfg.drams[0].init[0];
+                *e = Elem::F64(e.as_f64() + 1.0);
+            }),
+            ("pu_type entry", |c| {
+                let u = first(&c.assignment.pu_type);
+                let t = c.assignment.pu_type.get_mut(&u).unwrap();
+                *t = if *t == PuType::Pcu { PuType::Pmu } else { PuType::Pcu };
+            }),
+            ("unit_parts value", |c| {
+                let u = first(&c.assignment.unit_parts);
+                *c.assignment.unit_parts.get_mut(&u).unwrap() += 1;
+            }),
+            ("extra_latency value", |c| {
+                let u = first(&c.assignment.extra_latency);
+                *c.assignment.extra_latency.get_mut(&u).unwrap() += 1;
+            }),
+            ("merge group", |c| {
+                let s = &mut c.assignment.merge.solution;
+                s.group[0] = s.num_groups;
+            }),
+        ];
+        for (what, mutate) in mutations {
+            let mut m = c.clone();
+            mutate(&mut m);
+            assert_ne!(design_digest(&m), base, "{what} must change the digest");
+        }
+
+        // `0.0 == -0.0` as numbers, yet they are two designs.
+        let mut zero = c.clone();
+        zero.vudfg.drams[0].init[0] = Elem::F64(0.0);
+        let mut negative = zero.clone();
+        negative.vudfg.drams[0].init[0] = Elem::F64(-0.0);
+        assert_ne!(design_digest(&negative), design_digest(&zero), "0.0 -> -0.0 must change it");
     }
 
     #[test]

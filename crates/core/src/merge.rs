@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Result of global merging.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MergePlan {
     /// Units that participated in merging, in problem-node order.
     pub units: Vec<UnitId>,

@@ -194,7 +194,7 @@ pub enum Algo {
 }
 
 /// A partitioning result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Solution {
     /// Group id per node.
     pub group: Vec<usize>,

@@ -44,7 +44,7 @@ impl fmt::Display for StreamId {
 }
 
 /// What a stream carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StreamKind {
     /// Vector data of the given SIMD width.
     Vector(u32),
@@ -72,7 +72,7 @@ impl StreamKind {
 }
 
 /// A stream: a point-to-point FIFO channel between two units.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Stream {
     pub src: UnitId,
     pub dst: UnitId,
@@ -87,7 +87,7 @@ pub struct Stream {
 
 /// A control level of a unit's control context, outermost first. The chain
 /// mirrors the unit's ancestor controllers in the original program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum Level {
     /// Counted loop level. Bounds are constants or values consumed from an
     /// input port once per activation of this level (dynamic bounds,
@@ -141,7 +141,7 @@ impl Level {
 }
 
 /// A counter bound: constant or streamed from an input port.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash, Serialize, Deserialize)]
 pub enum CBound {
     Const(i64),
     /// Index into the unit's input list; one value consumed per activation
@@ -150,7 +150,7 @@ pub enum CBound {
 }
 
 /// Inner dataflow-node operation of a compute unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum NodeOp {
     /// Constant (broadcast across lanes).
     Const(Elem),
@@ -207,7 +207,7 @@ impl NodeOp {
 }
 
 /// One node of a compute unit's inner dataflow graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct DfgNode {
     pub op: NodeOp,
     /// Operand node indices (must be earlier nodes: SSA order).
@@ -215,7 +215,7 @@ pub struct DfgNode {
 }
 
 /// Role of a compute unit, for reports and debugging.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum VcuRole {
     /// Main datapath of a hyperblock (one per unrolled lane).
     Main { hb: CtrlId, lane: u32 },
@@ -235,7 +235,7 @@ pub enum VcuRole {
 /// (pop at activation start, push at activation end). `level == 0` refers
 /// to the outermost level; `usize::MAX` means "once for the whole
 /// execution" (accesses whose LCA path has no iterative level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TokenRule {
     /// Index into the unit's inputs (pop) or outputs (push).
     pub port: usize,
@@ -246,7 +246,7 @@ pub struct TokenRule {
 }
 
 /// A virtual compute unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Vcu {
     /// Control context, outermost first. Empty = fires exactly once.
     pub levels: Vec<Level>,
@@ -289,7 +289,7 @@ impl Vcu {
 /// A write port of a memory unit: paired address and data input streams
 /// (values pair up elementwise in firing order), plus an ack output feeding
 /// the response unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct VmuWritePort {
     pub addr_in: usize,
     pub data_in: usize,
@@ -300,14 +300,14 @@ pub struct VmuWritePort {
 
 /// A read port of a memory unit: an address input stream and a response
 /// data output stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct VmuReadPort {
     pub addr_in: usize,
     pub data_out: usize,
 }
 
 /// A virtual memory unit: one bank of one logical on-chip memory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Vmu {
     /// Logical memory this bank belongs to.
     pub mem: MemId,
@@ -329,7 +329,7 @@ pub struct Vmu {
 }
 
 /// Direction of a DRAM access stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AgDir {
     Read,
     Write,
@@ -339,7 +339,7 @@ pub enum AgDir {
 /// access site (per lane). Reads consume an address stream and produce a
 /// data stream; writes consume address+data streams and produce an ack
 /// stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct AgUnit {
     /// The DRAM tensor accessed.
     pub mem: MemId,
@@ -359,14 +359,14 @@ pub struct AgUnit {
 /// Token fan-in/fan-out synchronization unit: waits for one token on every
 /// input, then emits one token on every output. Realizes the lane
 /// aggregation of token edges after spatial unrolling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct SyncUnit;
 
 /// Crossbar distributor (paper Fig 8): consumes a `(bank, payload)` pair
 /// per firing — bank from `bank_in`, payload from `payload_in` — and routes
 /// the payload to output `bank`; also forwards the bank id on `ba_out` so a
 /// collector can restore response order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct XbarDist {
     pub bank_in: usize,
     pub payload_in: usize,
@@ -379,7 +379,7 @@ pub struct XbarDist {
 /// Crossbar collector: consumes the forwarded bank-id stream and, per bank
 /// id, pops one element from that bank's response input and emits it in
 /// order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct XbarColl {
     pub ba_in: usize,
     /// Per-bank response inputs, indexed by bank.
@@ -388,7 +388,7 @@ pub struct XbarColl {
 }
 
 /// The kind (and behaviour) of a virtual unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum UnitKind {
     Vcu(Vcu),
     Vmu(Vmu),
@@ -402,13 +402,13 @@ pub enum UnitKind {
 /// A push replicates the value to every stream; backpressure requires
 /// space on all of them. Out-degree accounting counts the port once —
 /// "the number of broadcast edges with unique sources" (paper §III-B1).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Hash, Serialize, Deserialize)]
 pub struct OutPort {
     pub streams: Vec<StreamId>,
 }
 
 /// A virtual unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Unit {
     pub label: String,
     pub kind: UnitKind,
@@ -445,7 +445,7 @@ impl Unit {
 }
 
 /// An off-chip tensor and its location in the flat DRAM address space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct DramTensor {
     pub mem: MemId,
     /// Byte base address.
@@ -457,7 +457,7 @@ pub struct DramTensor {
 }
 
 /// The virtual unit dataflow graph.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Vudfg {
     pub units: Vec<Unit>,
     pub streams: Vec<Stream>,

@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Element data type of a memory or expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -116,6 +117,28 @@ impl PartialEq for Elem {
         match (*self, *other) {
             (Elem::I64(a), Elem::I64(b)) => a == b,
             (a, b) => a.as_f64() == b.as_f64(),
+        }
+    }
+}
+
+/// Hashes the variant and the exact bits, the identity [`Elem::bit_eq`]
+/// compares. That is stricter than the numeric `PartialEq`: `I64(2)`
+/// and `F64(2.0)` are equal but hash apart, and so do `0.0` and `-0.0`.
+/// `Elem` is not `Eq`, so no std hash collection keys by it; the impl
+/// serves content digests of compiled designs, where a constant or an
+/// initial value of another type or sign is another design: integer and
+/// float division differ, and `1.0 / -0.0` is `-inf`.
+impl Hash for Elem {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match *self {
+            Elem::I64(v) => {
+                state.write_u8(0);
+                state.write_i64(v);
+            }
+            Elem::F64(v) => {
+                state.write_u8(1);
+                state.write_u64(v.to_bits());
+            }
         }
     }
 }

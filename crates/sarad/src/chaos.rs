@@ -74,7 +74,8 @@ pub struct ChaosPlan {
     pub ops: usize,
     /// Store byte budget for the chaotic engine: small on purpose, so
     /// eviction pressure is constant. The default holds about two of the
-    /// five tuples' sim artifacts (about 950 B each).
+    /// five tuples' sim artifacts (about 950 B each), or one tuple's
+    /// eval and sim artifacts (about 1.5 KB together).
     pub budget: u64,
     /// Percent of saves publishing a torn file.
     pub torn_write_pct: u8,

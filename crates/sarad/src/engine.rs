@@ -5,22 +5,38 @@
 //! ## Key derivation
 //!
 //! ```text
-//! compile_key = H(domain, program_canon, options_canon, system_canon)
-//! eval_key    = H("sarad-eval-v1", compile_key)
+//! compile_key = H("sarad-compile-v2", program_canon, options_canon, system_canon)
+//! eval_key    = H("sarad-eval-v2", compile_key)
+//! design      = design_digest(compiled)      carried in the eval artifact
 //! place_key   = H("sarad-place-v2", compile_key, pnr_seed)
-//! sim_key     = H("sarad-sim-v2", place_key)
+//! sim_key     = H("sarad-sim-v3", design, system_canon, pnr_seed)
 //! ```
 //!
-//! The compile key does not cover the cost model, so the `sarad-eval-v1`
-//! domain must be bumped whenever [`sara_dse::estimate`],
-//! [`CostEstimate`] or [`ResourceReport`] changes; otherwise a restarted
-//! engine serves stale estimates. The eval key is never the bare compile
-//! key: flight locks are keyed by the key string alone, and the eval
-//! stage computes through the compile stage.
+//! The compile and eval keys follow from the knobs alone; the engine
+//! derives them once per [`KnobConfig::key`] (which covers every knob
+//! but the PnR seed) and keeps them in memory. The sim key is keyed by
+//! the compiled design ([`sara_core::artifact::design_digest`]), not by
+//! the knobs: flag toggles that compile to the same VUDFG and
+//! assignment share one placement, one simulation and one `sim/`
+//! artifact. The digest is computed once per compile, in the eval
+//! stage, and saved in the eval artifact, so a request reaches its sim
+//! key through the eval stage — from memory, from disk, or by
+//! compiling — and a restarted engine derives it without compiling.
 //!
-//! Any change to any field of the request tuple changes exactly the
-//! stage keys downstream of it: a new PnR seed reuses the compiled
-//! design but re-places and re-simulates. The system canon
+//! Neither the compile key nor the design digest covers the cost model
+//! or the digest walk itself, so the `sarad-eval-v2` domain must be
+//! bumped whenever [`sara_dse::estimate`], [`CostEstimate`],
+//! [`ResourceReport`] or the walk in `design_digest` changes; otherwise
+//! a restarted engine serves stale estimates or stale digests. The
+//! `sarad-sim-v3` domain must be bumped whenever place-and-route or
+//! the simulator changes its results, so that sim artifacts written
+//! before are not served. The eval key is never the bare compile key:
+//! flight locks are keyed by the key string alone, and the eval stage
+//! computes through the compile stage.
+//!
+//! Any change to any field of the request tuple changes the compile
+//! and eval keys; a new PnR seed reuses the compiled design but
+//! re-places and re-simulates. The system canon
 //! ([`plasticine_arch::SystemSpec::canon`]) is field-complete over the
 //! *whole* topology — chip geometry, unit
 //! capabilities, DRAM technology, chip count, grid shape, and every
@@ -36,7 +52,7 @@
 //! * **In-memory index** — full `Compiled` objects, eval artifacts,
 //!   placements, and sim artifacts (including *negative* entries: a
 //!   compile or PnR failure is cached as its error string, so a
-//!   hopeless point is never re-attempted).
+//!   hopeless point is never re-attempted), plus the knob-derived keys.
 //! * **On-disk store** — eval and sim artifacts in the
 //!   [`Store`](crate::store::Store), content-verified at read time; a
 //!   hash mismatch counts as corruption and forces a recompute, never a
@@ -45,9 +61,11 @@
 //!   so a stored one would be read only after its sim artifact was
 //!   lost. The eval artifact keeps what [`CachedEval::evaluate`] needs
 //!   from a compile (the cost estimate and the resource report, or the
-//!   compile error), so a restarted engine answers evaluations and
-//!   simulations from disk without compiling. Only [`CachedEval`] uses
-//!   the eval stage.
+//!   compile error) and the design digest the sim key needs, so a
+//!   restarted engine answers evaluations, simulations and `run`
+//!   requests from disk without compiling. Every request that
+//!   simulates goes through the eval stage first, so a `run` request
+//!   saves an eval artifact too.
 //!
 //! All four stages run one private cache routine, `Engine::cached`:
 //! memory hit; flight lock and coalesced re-check; for the two stages
@@ -81,7 +99,7 @@
 
 use crate::store::{Store, StoreFaults, StoreRead};
 use plasticine_sim::{SimConfig, SimOutcome};
-use sara_core::artifact::{compile_key, f64_bits, f64_from_bits, StableHasher};
+use sara_core::artifact::{compile_key, design_digest, f64_bits, f64_from_bits, StableHasher};
 use sara_core::compile::{compile, Compiled};
 use sara_core::report::{bottleneck_summary, ResourceReport};
 use sara_core::shard::ShardPlan;
@@ -134,7 +152,17 @@ impl Deadline {
     }
 }
 
-/// The stage keys derived from one request tuple.
+/// The keys a knob configuration alone determines: the compile key and
+/// the eval key derived from it. Neither depends on the PnR seed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KnobKeys {
+    pub compile: String,
+    pub eval: String,
+}
+
+/// Every stage key of one request. The sim key needs the digest of the
+/// compiled design, which the eval stage holds, so only [`Engine::run`]
+/// and [`Engine::run_with`] hand these out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageKeys {
     pub compile: String,
@@ -143,7 +171,9 @@ pub struct StageKeys {
     pub sim: String,
 }
 
-/// Derive the stage keys for a knob configuration.
+/// Derive the compile and eval keys of a knob configuration. The engine
+/// derives them once per [`KnobConfig::key`], and adds the place and sim
+/// keys once the eval stage has the design digest.
 ///
 /// The compile key is [`sara_core::artifact::compile_key`]: it hashes
 /// the *field-complete* [`plasticine_arch::SystemSpec::canon`] of the target (with any
@@ -156,19 +186,26 @@ pub struct StageKeys {
 ///
 /// When the knobs name an unknown chip/system or cannot build a
 /// program.
-pub fn stage_keys(knobs: &KnobConfig) -> Result<StageKeys, String> {
+pub fn stage_keys(knobs: &KnobConfig) -> Result<KnobKeys, String> {
     let program = knobs.build_program()?;
     let system = knobs.system_spec()?;
     let compile = compile_key(&program, &knobs.compiler_options(), &system);
     let mut h = StableHasher::new();
-    h.str("sarad-eval-v1").str(&compile);
-    let eval = h.hex();
-    let mut h = StableHasher::new();
-    h.str("sarad-place-v2").str(&compile).u64(knobs.pnr_seed);
-    let place = h.hex();
-    let mut h = StableHasher::new();
-    h.str("sarad-sim-v2").str(&place);
-    Ok(StageKeys { compile, eval, place, sim: h.hex() })
+    h.str("sarad-eval-v2").str(&compile);
+    Ok(KnobKeys { eval: h.hex(), compile })
+}
+
+impl KnobKeys {
+    /// Every stage key, given the compiled design's digest, the target's
+    /// system canon and the PnR seed.
+    fn with_design(self, design: &str, system_canon: &str, pnr_seed: u64) -> StageKeys {
+        let mut h = StableHasher::new();
+        h.str("sarad-place-v2").str(&self.compile).u64(pnr_seed);
+        let place = h.hex();
+        let mut h = StableHasher::new();
+        h.str("sarad-sim-v3").str(design).str(system_canon).u64(pnr_seed);
+        StageKeys { compile: self.compile, eval: self.eval, place, sim: h.hex() }
+    }
 }
 
 /// The cached result of one simulation stage.
@@ -224,12 +261,14 @@ impl SimArtifact {
 }
 
 /// The cached result of one eval stage: what [`CachedEval::evaluate`]
-/// needs from a compile. Floats are stored as their IEEE-754 bits, so a
-/// restarted engine ranks candidates bit-identically to a cold one.
+/// needs from a compile, and the design digest the sim key needs.
+/// Floats are stored as their IEEE-754 bits, so a restarted engine
+/// ranks candidates bit-identically to a cold one.
 #[derive(Debug, Clone, PartialEq)]
 enum EvalArtifact {
-    /// The design compiled: its cost estimate and resource report.
-    Compiled { estimate: CostEstimate, report: ResourceReport },
+    /// The design compiled: its cost estimate, resource report and
+    /// [`design_digest`].
+    Compiled { estimate: CostEstimate, report: ResourceReport, design: String },
     /// The compile failed with this error: the point is infeasible, and
     /// a restart does not retry it.
     Failed(String),
@@ -237,9 +276,9 @@ enum EvalArtifact {
 
 impl EvalArtifact {
     fn to_json(&self) -> Json {
-        let (e, r) = match self {
+        let (e, r, design) = match self {
             EvalArtifact::Failed(error) => return Json::object().set("error", error.as_str()),
-            EvalArtifact::Compiled { estimate, report } => (estimate, report),
+            EvalArtifact::Compiled { estimate, report, design } => (estimate, report, design),
         };
         Json::object()
             .set("raw_cycles", f64_bits(e.raw_cycles))
@@ -253,6 +292,7 @@ impl EvalArtifact {
             .set("streams", r.streams)
             .set("token_streams", r.token_streams)
             .set("retime_units", r.retime_units)
+            .set("design", design.as_str())
     }
 
     fn from_json(v: &Json) -> Result<EvalArtifact, String> {
@@ -282,6 +322,11 @@ impl EvalArtifact {
                 token_streams: units("token_streams")?,
                 retime_units: units("retime_units")?,
             },
+            design: v
+                .get("design")
+                .and_then(Json::as_str)
+                .ok_or_else(|| bad("design"))?
+                .to_string(),
         })
     }
 }
@@ -396,6 +441,8 @@ pub struct Engine {
     evals: StageCache<EvalArtifact>,
     placed: StageCache<Arc<Placed>>,
     sims: StageCache<SimArtifact>,
+    /// Knob-derived keys by [`KnobConfig::key`].
+    knob_keys: Mutex<HashMap<String, KnobKeys>>,
     flights: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     /// Artificial per-stage compute latency — a chaos/test hook for
     /// exercising deadlines and watchdogs; `None` in production.
@@ -433,6 +480,7 @@ impl Engine {
             evals: StageCache::new("eval", Some(EvalArtifact::from_json)),
             placed: StageCache::new("place", None),
             sims: StageCache::new("sim", Some(SimArtifact::from_json)),
+            knob_keys: Mutex::new(HashMap::new()),
             flights: Mutex::new(HashMap::new()),
             stage_delay: Mutex::new(None),
             stats: Stats::default(),
@@ -582,15 +630,15 @@ impl Engine {
     /// Setup failures (bad chip/knobs), (cached) compile failures, and
     /// typed `timeout:` errors when the deadline passed before the
     /// compile could start.
-    pub fn compile_stage(
+    fn compile_stage(
         &self,
         knobs: &KnobConfig,
-        keys: &StageKeys,
+        key: &str,
         deadline: Deadline,
         progress: Progress,
     ) -> Result<Arc<Compiled>, String> {
         let counters = (&self.stats.compile_hits, &self.stats.compile_misses);
-        self.cached(&self.compiled, &keys.compile, counters, deadline, progress, |_| {
+        self.cached(&self.compiled, key, counters, deadline, progress, |_| {
             self.apply_stage_delay();
             let program = knobs.build_program()?;
             let system = knobs.system_spec()?;
@@ -601,12 +649,13 @@ impl Engine {
         })
     }
 
-    /// Eval stage: the cost estimate and resource report of the compiled
-    /// design, or its compile error, keyed by the eval key. Served from
-    /// memory, then from the verified disk store, then computed through
-    /// the compile stage — so a restarted engine answers it without
-    /// compiling. A compile failure is saved too, so a restart never
-    /// retries a hopeless point; a timeout is neither saved nor cached.
+    /// Eval stage: the cost estimate, resource report and design digest
+    /// of the compiled design, or its compile error, keyed by the eval
+    /// key. Served from memory, then from the verified disk store, then
+    /// computed through the compile stage — so a restarted engine
+    /// answers it without compiling. A compile failure is saved too, so
+    /// a restart never retries a hopeless point; a timeout is neither
+    /// saved nor cached.
     ///
     /// # Errors
     ///
@@ -614,13 +663,13 @@ impl Engine {
     fn eval_stage(
         &self,
         knobs: &KnobConfig,
-        keys: &StageKeys,
+        keys: &KnobKeys,
         deadline: Deadline,
         progress: Progress,
     ) -> Result<EvalArtifact, String> {
         let counters = (&self.stats.eval_hits, &self.stats.eval_misses);
         self.cached(&self.evals, &keys.eval, counters, deadline, progress, |progress| {
-            let art = match self.compile_stage(knobs, keys, deadline, progress) {
+            let art = match self.compile_stage(knobs, &keys.compile, deadline, progress) {
                 Ok(compiled) => EvalArtifact::Compiled {
                     estimate: estimate(
                         &knobs.build_program()?,
@@ -628,6 +677,7 @@ impl Engine {
                         &knobs.system_spec()?.chip,
                     ),
                     report: compiled.report,
+                    design: design_digest(&compiled),
                 },
                 Err(e) if e.starts_with(TIMEOUT_PREFIX) => return Err(e),
                 Err(e) => EvalArtifact::Failed(e),
@@ -655,7 +705,7 @@ impl Engine {
     ) -> Result<Arc<Placed>, String> {
         let counters = (&self.stats.place_hits, &self.stats.place_misses);
         self.cached(&self.placed, &keys.place, counters, deadline, progress, |progress| {
-            let compiled = self.compile_stage(knobs, keys, deadline, progress)?;
+            let compiled = self.compile_stage(knobs, &keys.compile, deadline, progress)?;
             self.recheck(deadline, "place")?;
             let system = knobs.system_spec()?;
             let mut g = compiled.vudfg.clone();
@@ -676,9 +726,10 @@ impl Engine {
         })
     }
 
-    /// Sim stage: cycles + profile scalars keyed by the placement.
-    /// Cached sim results are bit-identical to fresh computation
-    /// (`tests/cache.rs` proves it).
+    /// Sim stage: cycles + profile scalars keyed by the design digest,
+    /// the system and the PnR seed, and computed through the place stage
+    /// of the first knobs that reach it. Cached sim results are
+    /// bit-identical to fresh computation (`tests/cache.rs` proves it).
     ///
     /// # Errors
     ///
@@ -712,7 +763,8 @@ impl Engine {
         })
     }
 
-    /// Run the full pipeline for one request tuple.
+    /// Run the full pipeline for one request tuple: the eval stage,
+    /// whose design digest completes the sim key, then the sim stage.
     ///
     /// # Errors
     ///
@@ -737,9 +789,27 @@ impl Engine {
         deadline: Deadline,
         progress: Progress,
     ) -> Result<(StageKeys, SimArtifact), String> {
-        let keys = stage_keys(knobs)?;
+        let keys = self.knob_keys(knobs)?;
+        let design = match self.eval_stage(knobs, &keys, deadline, progress)? {
+            EvalArtifact::Compiled { design, .. } => design,
+            EvalArtifact::Failed(e) => return Err(e),
+        };
+        let keys = keys.with_design(&design, &knobs.system_spec()?.canon(), knobs.pnr_seed);
         let art = self.sim_stage(knobs, &keys, deadline, progress)?;
         Ok((keys, art))
+    }
+
+    /// The knob-derived keys of `knobs`, derived once per
+    /// [`KnobConfig::key`]. That key covers every knob but the PnR
+    /// seed, and the seed enters no knob-derived key.
+    fn knob_keys(&self, knobs: &KnobConfig) -> Result<KnobKeys, String> {
+        let id = knobs.key();
+        if let Some(keys) = self.knob_keys.lock().expect("key memo poisoned").get(&id) {
+            return Ok(keys.clone());
+        }
+        let keys = stage_keys(knobs)?;
+        self.knob_keys.lock().expect("key memo poisoned").insert(id, keys.clone());
+        Ok(keys)
     }
 }
 
@@ -770,10 +840,10 @@ impl Evaluator for CachedEval {
         // are feasibility-checked against the system's aggregate
         // capacity.
         let system = knobs.system_spec()?;
-        let keys = stage_keys(knobs)?;
+        let keys = self.engine.knob_keys(knobs)?;
         let mut sink = no_progress();
         Ok(match self.engine.eval_stage(knobs, &keys, Deadline::none(), &mut sink) {
-            Ok(EvalArtifact::Compiled { estimate, report }) => {
+            Ok(EvalArtifact::Compiled { estimate, report, .. }) => {
                 EvalPoint::compiled(knobs, estimate, report, &system)
             }
             Ok(EvalArtifact::Failed(_)) | Err(_) => EvalPoint::infeasible(knobs),
@@ -811,7 +881,11 @@ mod tests {
             token_streams: 5,
             retime_units: 6,
         };
-        let compiled = EvalArtifact::Compiled { estimate: estimate.clone(), report };
+        let compiled = EvalArtifact::Compiled {
+            estimate: estimate.clone(),
+            report,
+            design: "0123456789abcdef0123456789abcdef".to_string(),
+        };
         let failed = EvalArtifact::Failed("compile: need 207 PCU slots".to_string());
         for art in [compiled, failed] {
             let text = art.to_json().pretty();

@@ -8,9 +8,10 @@
 //!
 //! * [`engine`] — the staged pipeline with content-addressed caching:
 //!   every stage output is keyed by a stable hash of its inputs
-//!   (program text, compiler options, chip, PnR seed) and served from
-//!   an in-memory index or, for cost estimates and simulations, the
-//!   verified on-disk store. All four stages share one
+//!   (program text, compiler options, chip, PnR seed; for simulations,
+//!   the compiled design in place of the program and options) and
+//!   served from an in-memory index or, for cost estimates and
+//!   simulations, the verified on-disk store. All four stages share one
 //!   cache routine, and identical in-flight requests coalesce
 //!   (single-flight). [`engine::CachedEval`] plugs the engine into
 //!   `sara-dse` as an [`Evaluator`](sara_dse::Evaluator) backend, so a
@@ -35,7 +36,7 @@ pub mod server;
 pub mod store;
 
 pub use client::{Client, ClientError, RetryPolicy};
-pub use engine::{stage_keys, CachedEval, Deadline, Engine, SimArtifact, StageKeys};
+pub use engine::{stage_keys, CachedEval, Deadline, Engine, KnobKeys, SimArtifact, StageKeys};
 pub use net::{Conn, Endpoint, Listener};
 pub use server::{serve, serve_on, serve_with, ServerOptions};
 pub use store::{Store, StoreFaults, StoreRead};

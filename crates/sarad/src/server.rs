@@ -19,13 +19,21 @@
 //! | `delay`    | `ms` — occupies a worker (deterministic backpressure tests) |
 //! | `shutdown` | —                                                    |
 //!
+//! A `run` request's progress events name the `eval` stage first: the
+//! sim key needs the compiled design's digest, which the eval stage
+//! reads from memory or disk or computes by compiling, so a `run` also
+//! saves an eval artifact. The `sim` stage follows; a sim miss reports
+//! the `place` stage it computes through, and a place miss the
+//! `compile` stage. The `done` line carries the `compile`, `place` and
+//! `sim` keys.
+//!
 //! Error terminals carry a machine-readable `code` where one exists:
 //! `"backpressure"` (queue-full shedding — safe to retry with backoff,
 //! requests are content-addressed and idempotent) and `"timeout"`
 //! (`deadline_ms` elapsed between stages — completed stages are cached,
 //! so an immediate retry resumes from the last finished stage).
 
-use crate::engine::{stage_keys, CachedEval, Deadline, Engine, TIMEOUT_PREFIX};
+use crate::engine::{CachedEval, Deadline, Engine, TIMEOUT_PREFIX};
 use crate::net::{Conn, Endpoint, Listener};
 use sara_dse::{autotune_with, speedup, KnobConfig, SearchOptions};
 use sara_util::pool::{JobQueue, PushError};
@@ -51,7 +59,7 @@ pub struct ServerOptions {
     /// Artifact-store directory.
     pub cache_dir: PathBuf,
     /// Artifact-store byte budget (`None` = unbounded). Under a budget
-    /// the store evicts sim artifacts before eval artifacts and never
+    /// the store evicts eval artifacts before sim artifacts and never
     /// exceeds the ceiling.
     pub cache_budget: Option<u64>,
 }
@@ -254,10 +262,6 @@ fn handle_run(req: &Json, engine: &Arc<Engine>, out: &mut Conn) {
         Ok(k) => k,
         Err(e) => return write_line(out, &error_line(&e)),
     };
-    let keys = match stage_keys(&knobs) {
-        Ok(k) => k,
-        Err(e) => return write_line(out, &error_line(&e)),
-    };
     // A client-supplied deadline is enforced server-side between stages;
     // completed stages stay cached, so a retry resumes where this
     // request ran out of time.
@@ -274,8 +278,8 @@ fn handle_run(req: &Json, engine: &Arc<Engine>, out: &mut Conn) {
             );
         }
     };
-    match engine.sim_stage(&knobs, &keys, deadline, &mut progress) {
-        Ok(art) => write_line(
+    match engine.run_with(&knobs, deadline, &mut progress) {
+        Ok((keys, art)) => write_line(
             out,
             &Json::object()
                 .set("event", "done")

@@ -9,7 +9,7 @@
 //!
 //! * **Byte budget + stage-ranked LRU eviction.** With a configured
 //!   budget, a write that would exceed it first evicts by stage rank:
-//!   every `sim` artifact is considered before any `eval` artifact.
+//!   every `eval` artifact is considered before any `sim` artifact.
 //!   Within a stage, least-recently-used goes first.
 //!   Keys pinned by in-flight requests are never evicted. The budget is
 //!   a hard ceiling: the store's on-disk bytes never exceed it.
@@ -39,8 +39,11 @@ pub const STORE_FORMAT: &str = "sarad-artifact-v1";
 /// in eviction order: every artifact of an earlier stage is evicted
 /// before any of a later one. Any other directory (such as the
 /// `compile/` or `place/` an older engine wrote) is neither indexed nor
-/// evicted.
-pub const STAGES_BY_EVICTION_PRIORITY: [&str; 2] = ["sim", "eval"];
+/// evicted. Eval artifacts go first: a lost one costs a compile, a lost
+/// sim artifact a compile, a placement and a simulation, and a
+/// restarted `tune` under half its store's bytes ran faster with this
+/// order (EXPERIMENTS.md).
+pub const STAGES_BY_EVICTION_PRIORITY: [&str; 2] = ["eval", "sim"];
 
 fn stage_rank(stage: &str) -> usize {
     STAGES_BY_EVICTION_PRIORITY.iter().position(|s| *s == stage).unwrap_or(usize::MAX)
@@ -376,8 +379,8 @@ impl Store {
     }
 
     /// Evict unpinned artifacts until `need` more bytes fit under the
-    /// budget. Victims are chosen by stage rank (every sim before any
-    /// eval), LRU within a stage.
+    /// budget. Victims are chosen by stage rank (every eval before any
+    /// sim), LRU within a stage.
     fn evict_for(&self, idx: &mut Index, need: u64) {
         let Some(budget) = self.budget else { return };
         while idx.bytes + need > budget {
@@ -649,32 +652,32 @@ mod tests {
     }
 
     #[test]
-    fn eviction_takes_sim_before_eval() {
-        let dir = tmp_dir("rank-eval");
+    fn eviction_takes_eval_before_sim() {
+        let dir = tmp_dir("rank-sim");
         let s = Store::open_with(&dir, Some(8192), None).unwrap();
         let p = payload_of_size(1000);
-        // The eval artifacts are the oldest, so pure LRU would take them
-        // first; every sim artifact must go before any of them.
-        let mut evals = vec!["e0".to_string(), "e1".to_string()];
-        for key in &evals {
-            s.save("eval", key, &p).unwrap();
-        }
-        let sims = ["s1", "s2"];
-        for key in sims {
+        // The sim artifacts are the oldest, so pure LRU would take them
+        // first; every eval artifact must go before any of them.
+        let mut sims = vec!["s0".to_string(), "s1".to_string()];
+        for key in &sims {
             s.save("sim", key, &p).unwrap();
         }
-        while sims.iter().any(|key| s.path("sim", key).exists()) {
-            let key = format!("e{}", evals.len());
-            s.save("eval", &key, &p).unwrap();
-            evals.push(key);
+        let evals = ["e1", "e2"];
+        for key in evals {
+            s.save("eval", key, &p).unwrap();
+        }
+        while evals.iter().any(|key| s.path("eval", key).exists()) {
+            let key = format!("s{}", sims.len());
+            s.save("sim", &key, &p).unwrap();
+            sims.push(key);
             assert!(s.bytes() <= 8192);
-            for key in &evals {
-                assert!(s.path("eval", key).exists(), "eval/{key} went before a sim");
+            for key in &sims {
+                assert!(s.path("sim", key).exists(), "sim/{key} went before an eval");
             }
         }
         assert!(s.counters.evictions.load(Ordering::Relaxed) >= 2);
-        assert!(matches!(s.load("eval", "e0"), StoreRead::Hit(_)));
-        // A reopened store indexes the eval artifacts too.
+        assert!(matches!(s.load("sim", "s0"), StoreRead::Hit(_)));
+        // A reopened store indexes the sim artifacts too.
         assert_eq!(Store::open(&dir).unwrap().bytes(), s.bytes());
     }
 

@@ -1,7 +1,13 @@
 //! Cache-correctness acceptance for the `sarad` engine:
 //!
 //! * same request twice → bit-identical artifacts + a cache hit;
-//! * any single field of the key tuple changed → a miss (distinct keys);
+//! * any single field of the key tuple changed → a miss (distinct keys),
+//!   except that a flag toggle which compiles to the same design keeps
+//!   its sim key;
+//! * knob settings that compile to one design share one placement, one
+//!   simulation and one sim artifact, across restarts too;
+//! * the registry's design digests stay pinned, and equal digests
+//!   simulate identically;
 //! * corrupted on-disk artifact → detected by hash mismatch and
 //!   recomputed, never served;
 //! * served cached sim results bit-identical to fresh computation;
@@ -12,11 +18,11 @@
 //! * a lost sim artifact is recomputed through compile and PnR, to the
 //!   same result;
 //! * a tampered eval artifact is recompiled, never served;
-//! * a pipeline run puts only simulations on disk;
+//! * a pipeline run puts only evaluations and simulations on disk;
 //! * the registry's compile keys stay pinned, so existing stores hit.
 
 use plasticine_arch::ChipSpec;
-use sara_core::artifact::f64_bits;
+use sara_core::artifact::{design_digest, f64_bits};
 use sara_dse::{autotune_with, Evaluator, KnobConfig, SearchOptions};
 use sara_util::Json;
 use sarad::engine::{no_progress, Deadline};
@@ -72,10 +78,35 @@ fn repeat_request_hits_and_serves_bit_identical_results() {
     assert_eq!(art_a.firings, fresh.stats.firings, "cached firings != fresh");
 }
 
+/// The optimization flags, by the names `toggled` takes.
+const FLAGS: [&str; 3] = ["rtelm", "retime", "retime_m"];
+
+/// `knobs` with one optimization flag flipped.
+fn toggled(knobs: &KnobConfig, flag: &str) -> KnobConfig {
+    let mut k = knobs.clone();
+    let opt = &mut k.opt;
+    let bit = match flag {
+        "rtelm" => &mut opt.rtelm,
+        "retime" => &mut opt.retime,
+        _ => &mut opt.retime_m,
+    };
+    *bit = !*bit;
+    k
+}
+
+/// The digest of `knobs`' compiled design on its chip.
+fn digest_of(knobs: &KnobConfig) -> String {
+    let chip = knobs.system_spec().unwrap().chip;
+    let program = knobs.build_program().unwrap();
+    design_digest(&sara_core::compile::compile(&program, &chip, &knobs.compiler_options()).unwrap())
+}
+
 #[test]
 fn any_single_key_field_change_is_a_miss() {
+    let engine = Engine::open(&tmp_dir("fields")).unwrap();
+    let keys_of = |k: &KnobConfig| engine.run(k, &mut no_progress()).unwrap().0;
     let base = knobs_for("dotprod", "8x8", 7);
-    let base_keys = stage_keys(&base).unwrap();
+    let base_keys = keys_of(&base);
 
     // Different workload (program text).
     let other_workload = knobs_for("gemm", "8x8", 7);
@@ -83,28 +114,44 @@ fn any_single_key_field_change_is_a_miss() {
     let other_chip = knobs_for("dotprod", "16x8", 7);
     // Different PnR seed.
     let other_seed = knobs_for("dotprod", "8x8", 8);
-    // Different optimization flag.
-    let mut other_flag = base.clone();
-    other_flag.opt.retime = !other_flag.opt.retime;
     // Different par knob (where the loop admits one).
     let mut other_par = base.clone();
     other_par.pars[0].par = other_par.pars[0].par.saturating_mul(2).max(2);
 
-    for (what, k) in [
-        ("workload", &other_workload),
-        ("chip", &other_chip),
-        ("flag", &other_flag),
-        ("par", &other_par),
-    ] {
-        let keys = stage_keys(k).unwrap();
+    for (what, k) in [("workload", &other_workload), ("chip", &other_chip), ("par", &other_par)] {
+        let keys = keys_of(k);
         assert_ne!(keys.sim, base_keys.sim, "{what}: sim key must change");
         assert_ne!(keys.place, base_keys.place, "{what}: place key must change");
+        assert_ne!(keys.eval, base_keys.eval, "{what}: eval key must change");
         assert_ne!(keys.compile, base_keys.compile, "{what}: compile key must change");
     }
 
+    // A flag toggle changes every knob-derived key, and the sim key
+    // exactly when it changes the compiled design. At default knobs
+    // every `dotprod` toggle compiles to the same design; `pr`'s
+    // `retime` toggle does not.
+    let pr = knobs_for("pr", "8x8", 7);
+    let pr_keys = keys_of(&pr);
+    let mut shared = 0;
+    for (from, from_keys) in [(&base, &base_keys), (&pr, &pr_keys)] {
+        for flag in FLAGS {
+            let what = format!("{} {flag}", from.workload);
+            let k = toggled(from, flag);
+            let keys = keys_of(&k);
+            assert_ne!(keys.compile, from_keys.compile, "{what}: compile key must change");
+            assert_ne!(keys.eval, from_keys.eval, "{what}: eval key must change");
+            assert_ne!(keys.place, from_keys.place, "{what}: place key must change");
+            let same_design = digest_of(&k) == digest_of(from);
+            assert_eq!(keys.sim == from_keys.sim, same_design, "{what}: sim key vs design");
+            shared += usize::from(same_design);
+        }
+    }
+    assert!((1..6).contains(&shared), "both outcomes must occur: {shared} of 6 toggles shared");
+
     // A seed change invalidates place/sim but reuses the compile stage.
-    let seed_keys = stage_keys(&other_seed).unwrap();
+    let seed_keys = keys_of(&other_seed);
     assert_eq!(seed_keys.compile, base_keys.compile, "seed must not invalidate the compile");
+    assert_eq!(seed_keys.eval, base_keys.eval, "seed must not invalidate the evaluation");
     assert_ne!(seed_keys.place, base_keys.place);
     assert_ne!(seed_keys.sim, base_keys.sim);
 }
@@ -215,12 +262,11 @@ fn multi_chip_requests_run_replay_and_match_direct_simulation() {
 fn corrupted_disk_artifact_is_detected_and_recomputed_never_served() {
     let dir = tmp_dir("corrupt");
     let knobs = knobs_for("dotprod", "8x8", 7);
-    let keys = stage_keys(&knobs).unwrap();
 
-    let art = {
+    let (keys, art) = {
         let engine = Engine::open(&dir).unwrap();
         let mut sink = no_progress();
-        engine.run(&knobs, &mut sink).unwrap().1
+        engine.run(&knobs, &mut sink).unwrap()
     };
 
     // Tamper with the sim artifact on disk: valid JSON, wrong cycles.
@@ -274,20 +320,24 @@ fn lost_sim_artifact_is_recomputed_through_compile_and_pnr() {
 }
 
 #[test]
-fn only_simulations_reach_the_disk_store() {
+fn only_evaluations_and_simulations_reach_the_disk_store() {
     let dir = tmp_dir("stages");
     let engine = Engine::open(&dir).unwrap();
     let mut sink = no_progress();
     engine.run(&knobs_for("gemm", "8x8", 7), &mut sink).unwrap();
     assert!(!dir.join("compile").exists(), "the compile stage is memory-only");
     assert!(!dir.join("place").exists(), "the place stage is memory-only");
-    let on_disk: u64 = std::fs::read_dir(dir.join("sim"))
-        .unwrap()
-        .map(|entry| entry.unwrap().metadata().unwrap().len())
-        .sum();
+    let bytes_in = |stage: &str| -> u64 {
+        std::fs::read_dir(dir.join(stage))
+            .unwrap()
+            .map(|entry| entry.unwrap().metadata().unwrap().len())
+            .sum()
+    };
+    let (evals, sims) = (bytes_in("eval"), bytes_in("sim"));
+    assert!(evals > 0, "a run saves its evaluation, which holds the design digest");
+    assert!(sims > 0);
     let store_bytes = engine.stats_json().get("store_bytes").and_then(Json::as_u64);
-    assert!(on_disk > 0);
-    assert_eq!(store_bytes, Some(on_disk), "store_bytes counts exactly sim/");
+    assert_eq!(store_bytes, Some(evals + sims), "store_bytes counts exactly eval/ and sim/");
 }
 
 #[test]
@@ -443,7 +493,8 @@ fn restarted_autotune_answers_from_disk_without_compiling() {
     };
 
     // A fresh engine over the same store, as after a daemon restart:
-    // evaluations, placements and simulations all come from disk.
+    // evaluations and simulations all come from disk, so nothing is
+    // compiled, placed or simulated.
     let engine = Arc::new(Engine::open(&dir).unwrap());
     let restarted = autotune_with("dotprod", &opts, &CachedEval::new(Arc::clone(&engine))).unwrap();
     let stat = |c: &AtomicU64| c.load(Ordering::Relaxed);
@@ -520,14 +571,15 @@ fn concurrent_evaluations_of_one_point_coalesce_to_one_compile() {
 
 #[test]
 fn eval_artifacts_change_only_with_their_key() {
-    // The compile key does not cover the cost model or the compiler's
-    // code. When either moves an eval artifact, `sarad-eval-v1` must be
-    // bumped, which moves the key too, so stores written before miss
-    // instead of serving stale estimates. Re-pin both after the bump.
+    // The compile key does not cover the cost model, the compiler's
+    // code or the design digest's walk. When any of them moves an eval
+    // artifact, `sarad-eval-v2` must be bumped, which moves the key too,
+    // so stores written before miss instead of serving stale estimates
+    // or digests. Re-pin both after the bump.
     let pinned = [
-        ("dotprod", "0f598c73b2bf3f0e5baf1d695125cd7d", "cbf3a504029c6896fc350353fb322365"),
-        ("gemm", "ef2c322e1638ac6f9e0ee2fca73cbec0", "1704db3deaed0ae29d3b6dbbdb68b4cd"),
-        ("mlp", "266346162828715eaf4f191d9153def9", "788ec992a7afa8695ce5236c8bb2ecde"),
+        ("dotprod", "a5666dcf3d7622937840958f4924329c", "553de81aba62f8d23827b3a4bd4eb161"),
+        ("gemm", "0e9bd66eb8eb6622bf08b2a04c4c24f9", "51d96c570edcbab9ac0f7e944171216a"),
+        ("mlp", "736bebc5b0141ec3bf56d6826d376680", "ba131df4ff6242cc11bb4fca92662fbb"),
     ];
     let dir = tmp_dir("eval-pin");
     let backend = CachedEval::new(Arc::new(Engine::open(&dir).unwrap()));
@@ -544,8 +596,147 @@ fn eval_artifacts_change_only_with_their_key() {
         .collect();
     for ((name, key, payload_hash), (eval_key, hash)) in pinned.iter().zip(&found) {
         if eval_key == key {
-            assert_eq!(hash, payload_hash, "{name}: eval artifact changed; bump sarad-eval-v1");
+            assert_eq!(hash, payload_hash, "{name}: eval artifact changed; bump sarad-eval-v2");
         }
         assert_eq!(eval_key, key, "{name}: eval key moved; re-pin {found:?}");
     }
+}
+
+#[test]
+fn flag_twins_share_one_simulation_across_autotune_and_restart() {
+    let dir = tmp_dir("twins");
+    let opts = SearchOptions { budget: 12, ..SearchOptions::default() };
+    let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+
+    // Every `lstm` point the search simulates is a flag toggle of one
+    // design: one placement and one simulation serve them all.
+    let cold = {
+        let engine = Arc::new(Engine::open(&dir).unwrap());
+        let cold = autotune_with("lstm", &opts, &CachedEval::new(Arc::clone(&engine))).unwrap();
+        assert_eq!(cold.sims_run, 4, "the search simulates four points");
+        assert_eq!(count(&engine.stats.pnrs_run), 1, "one placement for one design");
+        assert_eq!(count(&engine.stats.sims_run), 1, "one simulation for one design");
+        cold
+    };
+    assert_eq!(std::fs::read_dir(dir.join("sim")).unwrap().count(), 1, "one sim artifact");
+
+    // A restarted engine reads every sim key from the eval artifacts.
+    let engine = Arc::new(Engine::open(&dir).unwrap());
+    let restarted = autotune_with("lstm", &opts, &CachedEval::new(Arc::clone(&engine))).unwrap();
+    assert_eq!(count(&engine.stats.compiles_run), 0, "a restart must not compile");
+    assert_eq!(count(&engine.stats.pnrs_run), 0, "a restart must not place");
+    assert_eq!(count(&engine.stats.sims_run), 0, "a restart must not simulate");
+    assert_eq!(restarted.best.knobs.key(), cold.best.knobs.key());
+    assert_eq!(restarted.best.simulated, cold.best.simulated);
+}
+
+#[test]
+fn a_flag_twin_run_compiles_but_reuses_the_simulation() {
+    let engine = Engine::open(&tmp_dir("twin-run")).unwrap();
+    let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    let base = knobs_for("dotprod", "8x8", 7);
+    let mut twin = base.clone();
+    twin.opt.retime = false;
+    assert_eq!(digest_of(&twin), digest_of(&base), "premise: the toggle compiles identically");
+
+    let (base_keys, art) = engine.run(&base, &mut no_progress()).unwrap();
+    let (compiles, pnrs, sims) = (
+        count(&engine.stats.compiles_run),
+        count(&engine.stats.pnrs_run),
+        count(&engine.stats.sims_run),
+    );
+    let (twin_keys, twin_art) = engine.run(&twin, &mut no_progress()).unwrap();
+    assert_eq!(count(&engine.stats.compiles_run), compiles + 1, "the twin compiles once");
+    assert_eq!(count(&engine.stats.pnrs_run), pnrs, "the twin is not placed");
+    assert_eq!(count(&engine.stats.sims_run), sims, "the twin is not simulated");
+    assert_ne!(twin_keys.compile, base_keys.compile);
+    assert_eq!(twin_keys.sim, base_keys.sim);
+    assert_eq!(twin_art, art, "the twin is served its design's sim artifact");
+}
+
+#[test]
+fn registry_design_digests_are_pinned() {
+    // The digests of the 16 registry designs at default knobs on `8x8`.
+    // A digest that moved between processes (a `HashMap` order leaking
+    // into the walk) would fail here; so does a compiler change, which
+    // also needs a `sarad-eval-v2` bump.
+    let pinned = [
+        ("dotprod", "e07d8a70313c6067258e5f53a88c4d68"),
+        ("outerprod", "6c44515c16fead736189f0b74c4c8f00"),
+        ("gemm", "5e4a6cf0311dff60a3120aa2e498cd8b"),
+        ("mlp", "9e274bfcf45efefd5da2f2f48951558a"),
+        ("lstm", "f155191855ea95c43688e08df0988a7f"),
+        ("snet", "8c51403ff4c3f08098b7797a4ce4d52f"),
+        ("logreg", "83290a557e4c9512e0a7e5baa599b84d"),
+        ("sgd", "6729e78d76d89e6aed6854ef3f6f139d"),
+        ("kmeans", "8f5ea9f1c05b0d736a5fa8e8dd6af888"),
+        ("gda", "b28f386d0aa9137adc194359da026ac5"),
+        ("tpchq6", "0c8704c9dfa4d0b27774c2325b2bfa4d"),
+        ("bs", "02be3f1bd3a80cf75705ee5635340e58"),
+        ("sort", "686d75ace5dd15f5280911add00d0d2e"),
+        ("ms", "887da7b3a3af736dd0f4cf0e539a09ea"),
+        ("pr", "d6f7fa44d210f8e833b6bd3e8ae2880f"),
+        ("rf", "9729ef381d1e7cd1e6313c6aba634c62"),
+    ];
+    let names: Vec<&str> = pinned.iter().map(|(name, _)| *name).collect();
+    assert_eq!(sara_workloads::names(), names, "one pin per registry workload");
+    let found: Vec<(&str, String)> =
+        pinned.iter().map(|(name, _)| (*name, digest_of(&knobs_for(name, "8x8", 42)))).collect();
+    for ((name, digest), (_, got)) in pinned.iter().zip(&found) {
+        assert_eq!(got, digest, "{name}: design digest moved; found {found:?}");
+    }
+}
+
+#[test]
+fn equal_design_digests_simulate_identically() {
+    // Soundness on the real twins: every single-flag toggle of every
+    // registry workload at default knobs on `8x8` whose design digest
+    // equals the default's must place and simulate to the same cycles,
+    // firings and final DRAM image, run without the engine.
+    let run = |knobs: &KnobConfig| {
+        let system = knobs.system_spec().unwrap();
+        let program = knobs.build_program().unwrap();
+        let mut compiled =
+            sara_core::compile::compile(&program, &system.chip, &knobs.compiler_options()).unwrap();
+        let digest = design_digest(&compiled);
+        sara_pnr::place_and_route_system(
+            &mut compiled.vudfg,
+            &compiled.assignment,
+            &system,
+            knobs.pnr_seed,
+        )
+        .unwrap();
+        let out = plasticine_sim::simulate(
+            &compiled.vudfg,
+            &system.chip,
+            &plasticine_sim::SimConfig::default(),
+        )
+        .unwrap();
+        (digest, out)
+    };
+    let mut twins = 0;
+    for name in sara_workloads::names() {
+        let base = knobs_for(name, "8x8", 42);
+        let (digest, out) = run(&base);
+        for flag in FLAGS {
+            let k = toggled(&base, flag);
+            let (d, o) = run(&k);
+            if d != digest {
+                continue;
+            }
+            twins += 1;
+            let what = format!("{name} {flag}");
+            assert_eq!(o.cycles, out.cycles, "{what}: cycles");
+            assert_eq!(o.stats.firings, out.stats.firings, "{what}: firings");
+            assert_eq!(o.dram_final.len(), out.dram_final.len(), "{what}: DRAM tensors");
+            for (m, a) in &out.dram_final {
+                let b = &o.dram_final[m];
+                assert_eq!(a.len(), b.len(), "{what}: DRAM {m:?} length");
+                assert!(a.iter().zip(b).all(|(x, y)| x.bit_eq(*y)), "{what}: DRAM {m:?} image");
+            }
+        }
+    }
+    // All but `retime` on `pr` and `rf`: a compiler change that moves
+    // this count changes how many simulations a `tune` pass saves.
+    assert_eq!(twins, 46, "twins among the 48 single-flag toggles");
 }

@@ -9,7 +9,7 @@
 //! * quarantined evidence is preserved on disk, never deleted.
 
 use sarad::engine::no_progress;
-use sarad::{stage_keys, Engine, StoreRead};
+use sarad::{Engine, StoreRead};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 
@@ -35,10 +35,9 @@ fn stale_writer_tmp_files_are_swept_on_open_and_artifacts_still_serve() {
     };
 
     // Plant writer droppings of the exact shape an interrupted save
-    // leaves behind: `.{key}.tmp.<pid>` next to live artifacts, and in
-    // the eval directory, which `run` never writes.
+    // leaves behind: `.{key}.tmp.<pid>` next to live artifacts in both
+    // stage directories.
     std::fs::write(dir.join("sim").join(".deadkey.tmp.4242"), b"half a write").unwrap();
-    std::fs::create_dir_all(dir.join("eval")).unwrap();
     std::fs::write(dir.join("eval").join(".gone.tmp.1"), b"{").unwrap();
 
     let engine = Engine::open(&dir).unwrap();
@@ -61,11 +60,10 @@ fn stale_writer_tmp_files_are_swept_on_open_and_artifacts_still_serve() {
 fn kill_nine_mid_write_restarts_clean_and_recomputes() {
     let dir = tmp_dir("kill9");
     let knobs = knobs_for(7);
-    let keys = stage_keys(&knobs).unwrap();
-    let art = {
+    let (keys, art) = {
         let engine = Engine::open(&dir).unwrap();
         let mut sink = no_progress();
-        engine.run(&knobs, &mut sink).unwrap().1
+        engine.run(&knobs, &mut sink).unwrap()
     };
 
     // Simulate dying mid-rename: the sim artifact is torn at its final
