@@ -224,11 +224,6 @@ impl ChipSpec {
     pub fn peak_flops_per_cycle(&self) -> u64 {
         self.pcus() as u64 * self.pcu.lanes as u64 * self.pcu.stages as u64
     }
-
-    /// Aggregate on-chip scratchpad capacity in bytes.
-    pub fn total_sram_bytes(&self) -> u64 {
-        self.pmus() as u64 * self.pmu.capacity_bytes
-    }
 }
 
 #[cfg(test)]

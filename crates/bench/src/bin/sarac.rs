@@ -7,7 +7,8 @@
 //! ```text
 //! sarac <workload> [--chip 20x20|16x8|8x8|4x4] [--simulate] [--dot FILE] [--profile FILE]
 //!                  [--faults PLAN] [--sanitize]
-//! sarac <workload> --system 4x8x8 [--simulate]      # multi-chip scale-out
+//! sarac <workload> --system 4x8x8 [--simulate] [--dot FILE] [--profile FILE]
+//!                  [--faults PLAN] [--sanitize]      # multi-chip scale-out
 //! sarac <workload> --autotune [--budget N] [--chip NAME]
 //! sarac --knobs FILE [--simulate]
 //! sarac --sweep   [--chip 20x20|16x8|8x8|4x4] [--simulate]
@@ -17,10 +18,11 @@
 //! mean one chip) compiles for the system's chip, shards the graph
 //! across the chips where crossing traffic is thinnest, places each
 //! chip independently, and — with `--simulate` — runs the linked
-//! multi-chip simulation with rate-limited inter-chip links. It names
-//! the chip itself, so it is mutually exclusive with `--chip`, and the
-//! scale-out pipeline has no fault-injection or replay support yet
-//! (`--faults`, `--knobs`, `--autotune`, `--sweep`, `--connect`).
+//! multi-chip simulation with rate-limited inter-chip links; `--faults`,
+//! `--sanitize`, `--profile` and `--dot` work as on one chip. It names
+//! the chip itself, so it is mutually exclusive with `--chip`, and it
+//! takes only the direct compile path: not `--sweep`, `--autotune`,
+//! `--knobs` or `--connect`.
 //!
 //! `--faults PLAN` (implies `--simulate`) injects the fault plan in file
 //! PLAN (see the DSL in `plasticine_sim::fault`); `--sanitize` enables
@@ -329,7 +331,8 @@ fn main() {
             chips = ChipSpec::NAMES.join("|")
         );
         eprintln!(
-            "       sarac <workload> --system {systems}|<count>x<chip> [--simulate]",
+            "       sarac <workload> --system {systems}|<count>x<chip> [--simulate] [--dot FILE] \
+             [--profile FILE] [--faults PLAN] [--sanitize]",
             systems = SystemSpec::NAMES.join("|")
         );
         eprintln!("       sarac <workload> --autotune [--budget N] [--chip NAME]");

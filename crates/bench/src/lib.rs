@@ -138,46 +138,15 @@ pub fn run_system(
     system: &SystemSpec,
     opts: &CompilerOptions,
 ) -> Result<(Run, sara_core::shard::ShardPlan), String> {
-    run_system_with(p, system, opts, &sim_config())
-}
-
-/// [`run_system`] with an explicit simulator configuration.
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_system_with(
-    p: &Program,
-    system: &SystemSpec,
-    opts: &CompilerOptions,
-    cfg: &SimConfig,
-) -> Result<(Run, sara_core::shard::ShardPlan), String> {
     let reference = Interp::new(p).run().map_err(|e| format!("interp: {e}"))?;
     let mut compiled = compile(p, &system.chip, opts).map_err(|e| format!("compile: {e}"))?;
     let pnr =
         sara_pnr::place_and_route_system(&mut compiled.vudfg, &compiled.assignment, system, 17)
             .map_err(|e| format!("pnr: {e}"))?;
-    let outcome = simulate_system(&compiled.vudfg, system, &pnr.plan, cfg)
+    let outcome = simulate_system(&compiled.vudfg, system, &pnr.plan, &sim_config())
         .map_err(|e| format!("sim: {e}"))?;
     verify_dram(p, &reference, &outcome).map_err(|e| format!("verify: {e}"))?;
     Ok((Run { compiled, outcome, interp: reference.stats }, pnr.plan))
-}
-
-/// Compile, place-and-route, and simulate a registry workload by name.
-///
-/// The lookup failure is part of the `Result` — no panic path — so
-/// library consumers (the `sarad` service in particular) can surface an
-/// unknown-workload request as a typed protocol error.
-///
-/// # Errors
-///
-/// Returns a one-line description naming the unknown workload (with the
-/// known names) or the failing pipeline phase.
-pub fn run_workload(name: &str, chip: &ChipSpec, opts: &CompilerOptions) -> Result<Run, String> {
-    let w = sara_workloads::by_name(name).ok_or_else(|| {
-        format!("unknown workload {name:?} (known: {})", sara_workloads::names().join(", "))
-    })?;
-    run(&w.program, chip, opts)
 }
 
 /// Compile and simulate through the vanilla-Plasticine (PC) baseline,
@@ -254,17 +223,10 @@ mod tests {
     #[test]
     fn run_small_workload() {
         let chip = ChipSpec::small_8x8();
-        let r = run_workload("dotprod", &chip, &CompilerOptions::default()).unwrap();
+        let w = sara_workloads::by_name("dotprod").unwrap();
+        let r = run(&w.program, &chip, &CompilerOptions::default()).unwrap();
         assert!(r.cycles() > 0);
         assert!(r.pus() > 0);
         assert!(r.flops_per_cycle() > 0.0);
-    }
-
-    #[test]
-    fn unknown_workload_is_a_typed_error_naming_the_registry() {
-        let chip = ChipSpec::small_8x8();
-        let e = run_workload("no-such-kernel", &chip, &CompilerOptions::default()).unwrap_err();
-        assert!(e.contains("unknown workload"), "got: {e}");
-        assert!(e.contains("dotprod"), "error must list known names: {e}");
     }
 }

@@ -79,11 +79,6 @@ impl ShardPlan {
             .collect();
         ShardPlan { count, chip_of, crossings, cut_traffic: 0.0 }
     }
-
-    /// Whether a stream crosses a chip boundary under this plan.
-    pub fn is_crossing(&self, s: &Stream) -> bool {
-        self.chip_of[s.src.index()] != self.chip_of[s.dst.index()]
-    }
 }
 
 /// One chip's closed sub-graph, ready for per-chip PnR.

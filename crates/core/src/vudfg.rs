@@ -279,11 +279,6 @@ impl Vcu {
     pub fn stage_cost(&self, transcendental_stages: u32) -> u32 {
         self.dfg.iter().map(|n| n.op.stage_cost(transcendental_stages)).sum()
     }
-
-    /// Number of innermost-level counters required (one per counter level).
-    pub fn counter_count(&self) -> u32 {
-        self.levels.iter().filter(|l| matches!(l, Level::Counter { .. })).count() as u32
-    }
 }
 
 /// A write port of a memory unit: paired address and data input streams
@@ -431,14 +426,6 @@ impl Unit {
     pub fn as_vcu_mut(&mut self) -> Option<&mut Vcu> {
         match &mut self.kind {
             UnitKind::Vcu(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The memory payload, if this is a VMU.
-    pub fn as_vmu(&self) -> Option<&Vmu> {
-        match &self.kind {
-            UnitKind::Vmu(v) => Some(v),
             _ => None,
         }
     }

@@ -46,13 +46,6 @@ pub enum MemKind {
     Fifo,
 }
 
-impl MemKind {
-    /// Whether the memory lives on-chip.
-    pub fn on_chip(self) -> bool {
-        !matches!(self, MemKind::Dram)
-    }
-}
-
 impl fmt::Display for MemKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

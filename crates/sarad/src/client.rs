@@ -170,16 +170,6 @@ impl Client {
         Ok(Client { writer: stream, reader })
     }
 
-    /// Connect to a Unix socket, retrying transient failures with
-    /// jittered exponential backoff.
-    ///
-    /// # Errors
-    ///
-    /// The last [`ClientError::Connect`] once attempts are exhausted.
-    pub fn connect_with_retry(socket: &Path, policy: &RetryPolicy) -> Result<Client, ClientError> {
-        Client::connect_to_with_retry(&Endpoint::unix(socket), policy)
-    }
-
     /// Connect to an endpoint, retrying transient failures (absent
     /// socket, TCP connection refused) with jittered exponential
     /// backoff.

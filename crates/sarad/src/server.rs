@@ -39,7 +39,6 @@ use sara_dse::{autotune_with, speedup, KnobConfig, SearchOptions};
 use sara_util::pool::{JobQueue, PushError};
 use sara_util::Json;
 use std::io::{BufRead, BufReader, Write};
-use std::path::Path;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -379,9 +378,4 @@ pub fn parse_budget(v: &str) -> Result<u64, String> {
         }
         _ => Err(format!("cache budget {v:?} is not a positive byte count (try 512m, 2g)")),
     }
-}
-
-/// Best-effort removal of a stale socket file (used by tests).
-pub fn cleanup_socket(path: &Path) {
-    let _ = std::fs::remove_file(path);
 }

@@ -10,7 +10,10 @@
 //! * **Byte budget + stage-ranked LRU eviction.** With a configured
 //!   budget, a write that would exceed it first evicts by stage rank:
 //!   every `eval` artifact is considered before any `sim` artifact.
-//!   Within a stage, least-recently-used goes first.
+//!   Within a stage, artifacts this store has read or written since it
+//!   opened go first, least-recently-used first: the engine keeps every
+//!   artifact it reads or writes in memory, so the ones it has not
+//!   touched yet are the ones a restarted engine may still need.
 //!   Keys pinned by in-flight requests are never evicted. The budget is
 //!   a hard ceiling: the store's on-disk bytes never exceed it.
 //! * **Crash recovery on open.** Orphaned `.{key}.tmp.<pid>` files left
@@ -152,6 +155,9 @@ struct Entry {
     /// Logical LRU clock value at last touch (monotonic, not wall time,
     /// so eviction order is deterministic under test).
     last_use: u64,
+    /// Read or written since the store opened (false for an entry the
+    /// open-time scan found and nothing has loaded yet).
+    touched: bool,
 }
 
 #[derive(Debug, Default)]
@@ -168,6 +174,7 @@ impl Index {
         let clock = self.clock;
         if let Some(e) = self.entries.get_mut(&(stage.to_string(), key.to_string())) {
             e.last_use = clock;
+            e.touched = true;
         }
     }
 
@@ -177,11 +184,11 @@ impl Index {
         Some(e.bytes)
     }
 
-    fn insert(&mut self, stage: &str, key: &str, bytes: u64) {
+    fn insert(&mut self, stage: &str, key: &str, bytes: u64, touched: bool) {
         self.remove(stage, key);
         self.clock += 1;
-        self.entries
-            .insert((stage.to_string(), key.to_string()), Entry { bytes, last_use: self.clock });
+        let entry = Entry { bytes, last_use: self.clock, touched };
+        self.entries.insert((stage.to_string(), key.to_string()), entry);
         self.bytes += bytes;
     }
 
@@ -290,7 +297,7 @@ impl Store {
                 let Some(key) = name.strip_suffix(".json") else { continue };
                 let Ok(meta) = entry.metadata() else { continue };
                 if meta.is_file() {
-                    idx.insert(stage, key, meta.len());
+                    idx.insert(stage, key, meta.len(), false);
                 }
             }
         }
@@ -380,7 +387,8 @@ impl Store {
 
     /// Evict unpinned artifacts until `need` more bytes fit under the
     /// budget. Victims are chosen by stage rank (every eval before any
-    /// sim), LRU within a stage.
+    /// sim); within a stage, entries read or written since open before
+    /// the rest, LRU within each.
     fn evict_for(&self, idx: &mut Index, need: u64) {
         let Some(budget) = self.budget else { return };
         while idx.bytes + need > budget {
@@ -388,7 +396,7 @@ impl Store {
                 .entries
                 .iter()
                 .filter(|((stage, key), _)| !idx.pinned(stage, key))
-                .min_by_key(|((stage, _), e)| (stage_rank(stage), e.last_use))
+                .min_by_key(|((stage, _), e)| (stage_rank(stage), !e.touched, e.last_use))
                 .map(|((stage, key), _)| (stage.clone(), key.clone()));
             let Some((stage, key)) = victim else { break };
             let freed = idx.remove(&stage, &key).unwrap_or(0);
@@ -476,7 +484,7 @@ impl Store {
                 let torn_len = text.len() / 2;
                 let _ = std::fs::write(&path, &text[..torn_len]);
                 let mut idx = self.index.lock().expect("store index poisoned");
-                idx.insert(stage, key, torn_len as u64);
+                idx.insert(stage, key, torn_len as u64, true);
                 self.evict_for(&mut idx, 0);
                 self.counters.bytes.store(idx.bytes, Ordering::Relaxed);
                 return Err(format!("cannot write {}: torn write injected", path.display()));
@@ -520,7 +528,7 @@ impl Store {
             self.counters.bytes.store(idx.bytes, Ordering::Relaxed);
             return Err(e);
         }
-        idx.insert(stage, key, need);
+        idx.insert(stage, key, need, true);
         self.counters.bytes.store(idx.bytes, Ordering::Relaxed);
         Ok(path)
     }
@@ -649,6 +657,31 @@ mod tests {
         assert!(matches!(s.load("sim", "b"), StoreRead::Miss), "LRU victim must be b");
         assert!(matches!(s.load("sim", "a"), StoreRead::Hit(_)));
         assert!(s.counters.evictions.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn a_reopened_store_evicts_what_it_has_touched_before_what_it_has_not() {
+        // A restarted engine replays its cold run: it reads `a`, holds it
+        // in memory, and will read `b` and `c` next. Making room for a
+        // new write must take `a`, not `b` or `c`, one of which plain
+        // LRU (in the open-time scan's order) would pick.
+        let dir = tmp_dir("touched");
+        let p = payload_of_size(1000);
+        {
+            let s = Store::open(&dir).unwrap();
+            for key in ["a", "b", "c"] {
+                s.save("eval", key, &p).unwrap();
+            }
+        }
+        let s = Store::open_with(&dir, Some(4096), None).unwrap();
+        assert!(matches!(s.load("eval", "a"), StoreRead::Hit(_)));
+        s.save("eval", "d", &p).unwrap();
+        assert!(s.bytes() <= 4096);
+        assert!(!s.path("eval", "a").exists(), "the touched entry must go first");
+        for key in ["b", "c", "d"] {
+            assert!(matches!(s.load("eval", key), StoreRead::Hit(_)), "eval/{key} was evicted");
+        }
+        assert_eq!(s.counters.evictions.load(Ordering::Relaxed), 1);
     }
 
     #[test]

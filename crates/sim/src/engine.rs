@@ -165,10 +165,6 @@ pub struct SimStats {
     pub unit_firings: HashMap<String, u64>,
     /// DRAM model statistics.
     pub dram: DramStats,
-    /// Total bytes moved by AG units (useful traffic).
-    pub ag_bytes: u64,
-    /// Compute utilization proxy: firings / (cycles × compute units).
-    pub utilization: f64,
 }
 
 /// Outcome of a completed simulation.
@@ -464,19 +460,10 @@ fn collect_outcome(
         dram_final.insert(d.mem, image[b..b + d.words].to_vec());
     }
     let mut stats = SimStats { dram: dram_stats, ..SimStats::default() };
-    let compute_units = units.vcus.len() as u64;
     for v in &units.vcus {
         stats.firings += v.firings;
         stats.unit_firings.insert(v.label.clone(), v.firings);
     }
-    for a in &units.ags {
-        stats.ag_bytes += a.bytes;
-    }
-    stats.utilization = if now > 0 && compute_units > 0 {
-        stats.firings as f64 / (now as f64 * compute_units as f64)
-    } else {
-        0.0
-    };
     SimOutcome { cycles: now, dram_final, stats, profile }
 }
 

@@ -12,7 +12,7 @@ use ramulator_lite::{DramSim, Request};
 use sara_core::vudfg::{
     AgDir, AgUnit, CBound, Level, NodeOp, OutPort, StreamId, SyncUnit, Vcu, Vmu, XbarColl, XbarDist,
 };
-use sara_ir::{BinOp, Elem};
+use sara_ir::Elem;
 use std::collections::{HashMap, VecDeque};
 
 /// Per-cycle stepping context shared by all units.
@@ -1411,8 +1411,6 @@ pub struct AgRt {
     max_jobs: usize,
     /// Read-retirement assembly scratch, reused across jobs.
     read_scratch: Val,
-    pub packets: u64,
-    pub bytes: u64,
 }
 
 /// Burst coalescing cap in words (256 bytes).
@@ -1443,8 +1441,6 @@ impl AgRt {
             next_run: 0,
             max_jobs: 64,
             read_scratch: Vec::new(),
-            packets: 0,
-            bytes: 0,
         }
     }
 
@@ -1567,7 +1563,6 @@ impl AgRt {
                 for w in &words {
                     self.append_word(ctx.now, seq, *w);
                 }
-                self.bytes += words.len() as u64 * 4;
                 self.jobs.push_back(Job {
                     seq,
                     kind: JobKind::Write { count: words.len() },
@@ -1580,12 +1575,10 @@ impl AgRt {
                 for w in &words {
                     self.append_word(ctx.now, seq, *w);
                 }
-                self.bytes += words.len() as u64 * 4;
                 let pending = words.len();
                 self.jobs.push_back(Job { seq, kind: JobKind::Read { words }, pending });
             }
             self.next_seq += 1;
-            self.packets += 1;
             *ctx.progress += 1;
         }
         // staleness / cap flush
@@ -1849,13 +1842,4 @@ impl Units {
             UKind::Ag(k) => self.ags[k as usize].step(ctx, dram, image),
         }
     }
-}
-
-/// Convenience: evaluate a BinOp lane tree (used by tests).
-pub fn fold_lanes(op: BinOp, v: &[Elem]) -> Elem {
-    let mut acc = v[0];
-    for x in &v[1..] {
-        acc = op.eval(acc, *x);
-    }
-    acc
 }

@@ -1,0 +1,118 @@
+#!/usr/bin/env bash
+# Simulator-throughput gate: the pipeline benchmark (perfbench/) built at
+# BASE and at HEAD, run in interleaved pairs on this host, HEAD judged
+# against BASE.
+#
+#   scripts/perf_gate.sh BASE
+#
+# BASE is any commit (a pull request's merge-base, the previous main
+# commit, HEAD~1). Each commit is exported with `git archive` into a
+# temporary directory outside the repository and built there (--offline,
+# one target directory each), so the working tree, its target/ and .git
+# are left alone; uncommitted changes are not measured. Both commits are
+# built from the same source path, one after the other: crate hashes and
+# embedded paths derive from it, so for unchanged code the two binaries
+# are byte-identical and only the change itself can move code layout.
+#
+# Each pair runs BASE and HEAD back to back on `simlong` and on
+# `fabric20`, traced (--trace 1), alternating which side goes first, each
+# run in a fresh working directory. From every run's result line the gate
+# reads `sim.cycles_per_s`: simulated cycles per second of the sim layer's
+# self time, scaled to perfbench's reference host speed. Two runs back to
+# back see the same host phase, so the ratio HEAD / BASE of a pair
+# cancels most of the host's drift, and the median over pairs the rest.
+#
+# Exit status: 0 when every run verified all its ops and, on each
+# workload, the median over pairs of HEAD / BASE is at least BOUND; 1 when
+# a run fails or reports "correct": false, or a median falls below BOUND;
+# 2 on a usage or build error.
+set -euo pipefail
+
+PAIRS=5 # odd, so the median is one pair's ratio
+RUN_SECONDS=8
+SEED=7
+BOUND=0.80
+WORKLOADS=(simlong fabric20)
+
+usage() {
+  echo "usage: $0 BASE" >&2
+  exit 2
+}
+[[ $# -eq 1 ]] || usage
+
+repo=$(cd "$(dirname "$0")/.." && pwd)
+base=$(git -C "$repo" rev-parse --verify --quiet "$1^{commit}") \
+  || { echo "error: $1 is not a commit" >&2; exit 2; }
+head=$(git -C "$repo" rev-parse --verify HEAD^{commit})
+work=$(mktemp -d "${TMPDIR:-/tmp}/perf-gate.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+started=$(date +%s)
+
+declare -A bin
+for side in base head; do
+  rev=${!side}
+  echo "== build perfbench at $side ${rev:0:12}"
+  rm -rf "$work/src"
+  mkdir -p "$work/src"
+  git -C "$repo" archive "$rev" | tar -x -C "$work/src"
+  [[ -f "$work/src/perfbench/Cargo.toml" ]] \
+    || { echo "error: ${rev:0:12} has no perfbench/" >&2; exit 2; }
+  CARGO_TARGET_DIR="$work/target-$side" \
+    cargo build --release --offline --quiet --manifest-path "$work/src/perfbench/Cargo.toml" \
+    || { echo "error: perfbench does not build at ${rev:0:12}" >&2; exit 2; }
+  bin[$side]="$work/target-$side/release/perfbench"
+done
+
+# Run one side once; prints its sim.cycles_per_s, or fails the gate.
+run() {
+  local side=$1 workload=$2 pair=$3
+  local dir="$work/runs/$workload-$pair-$side"
+  mkdir -p "$dir"
+  if ! (cd "$dir" && "${bin[$side]}" --workload "$workload" --seed "$SEED" \
+    --seconds "$RUN_SECONDS" --trace 1 > out.json 2> err.txt); then
+    echo "FAIL: $side perfbench exited nonzero on $workload (pair $pair):" >&2
+    tail -n 5 "$dir/err.txt" >&2
+    exit 1
+  fi
+  local line
+  line=$(tail -n 1 "$dir/out.json")
+  if [[ "$line" != '{"correct": true,'* ]]; then
+    echo "FAIL: $side did not verify every op on $workload (pair $pair):" >&2
+    grep failed "$dir/err.txt" | head -n 5 >&2 || true
+    exit 1
+  fi
+  local rate
+  rate=$(sed -n 's/.*"sim\.cycles_per_s": {"value": \([^,]*\),.*/\1/p' <<<"$line")
+  [[ -n "$rate" ]] || { echo "FAIL: no sim.cycles_per_s from $side on $workload" >&2; exit 1; }
+  echo "$rate"
+}
+
+declare -A ratios
+for ((pair = 1; pair <= PAIRS; pair++)); do
+  if ((pair % 2)); then order=(base head); else order=(head base); fi
+  for workload in "${WORKLOADS[@]}"; do
+    declare -A rate=()
+    for side in "${order[@]}"; do
+      rate[$side]=$(run "$side" "$workload" "$pair")
+    done
+    ratio=$(awk -v h="${rate[head]}" -v b="${rate[base]}" 'BEGIN { printf "%.4f", h / b }')
+    ratios[$workload]+="$ratio "
+    printf '%-9s pair %d (%s first): sim.cycles_per_s base %.0f head %.0f, head/base %s\n' \
+      "$workload" "$pair" "${order[0]}" "${rate[base]}" "${rate[head]}" "$ratio"
+  done
+done
+
+status=0
+for workload in "${WORKLOADS[@]}"; do
+  median=$(tr ' ' '\n' <<<"${ratios[$workload]}" | grep . | sort -g | sed -n "$(((PAIRS + 1) / 2))p")
+  if awk -v m="$median" -v b="$BOUND" 'BEGIN { exit !(m >= b) }'; then
+    verdict=pass
+  else
+    verdict=FAIL
+    status=1
+  fi
+  echo "$workload: median head/base over $PAIRS pairs $median (bound $BOUND): $verdict"
+done
+echo "perf gate: base ${base:0:12}, head ${head:0:12}, seed $SEED, ${RUN_SECONDS} s runs," \
+  "wall $(($(date +%s) - started)) s"
+exit "$status"

@@ -13,13 +13,16 @@
 #                    over every registry workload (fixed seed). Any panic or
 #                    undiagnosed hang under an injected fault fails
 #                    verification; the JSON report lands in results/.
-#   --bench          additionally run the simulator-throughput benchmark
-#                    (smoke scale) against the committed baseline in
-#                    results/BENCH_sim_throughput.json — what the CI
-#                    perf-trajectory job gates on. Fails on a >20%
-#                    calibration-normalized regression. Then run the
-#                    pipeline benchmark's determinism tests (perfbench/):
-#                    per-seed placement and simulation counts repeat.
+#   --bench          additionally run the simulator-throughput gate
+#                    (scripts/perf_gate.sh) with HEAD~1 as the base: the
+#                    pipeline benchmark (perfbench/) built at both commits,
+#                    interleaved traced pairs on simlong and fabric20,
+#                    failing when HEAD's median sim.cycles_per_s falls
+#                    below 0.80 of the base's — what the CI perf-gate job
+#                    runs against a merge-base. It measures commits, not
+#                    the working tree. Then run the pipeline benchmark's
+#                    determinism tests: per-seed placement and simulation
+#                    counts repeat.
 #   --chaos          additionally run the sarad service-level chaos soak
 #                    (two fixed seeds): fault-injected store, byte budget,
 #                    crash restarts, transport abuse. Any panic, hang, or
@@ -102,12 +105,8 @@ run_multichip() {
 
 run_bench() {
   if [[ "$bench" == 1 ]]; then
-    echo "== simperf (smoke scale, gated on committed baseline)"
-    SARA_BENCH_SMOKE=1 SARA_BENCH_RESULTS_DIR="${SARA_BENCH_RESULTS_DIR:-perf-artifacts}" \
-      cargo run --release -q -p sara-bench --bin simperf -- \
-      --out BENCH_sim_throughput \
-      --baseline results/BENCH_sim_throughput.json \
-      --max-regress 0.20
+    echo "== perf gate (HEAD against HEAD~1, perfbench simlong + fabric20)"
+    scripts/perf_gate.sh HEAD~1
     echo "== perfbench determinism tests"
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
   fi
