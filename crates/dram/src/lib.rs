@@ -203,6 +203,8 @@ pub struct DramSim {
     /// Fractional service-cycle accumulator per channel (bandwidths are
     /// not integer bytes/cycle for all configs).
     carry: Vec<f64>,
+    /// Requests pushed since the last tick, which schedules them all.
+    queued: usize,
 }
 
 impl DramSim {
@@ -218,7 +220,13 @@ impl DramSim {
             banks: vec![Bank::default(); cfg.banks_per_channel as usize],
             ..Channel::default()
         };
-        DramSim { cfg, channels: vec![ch; n], stats: DramStats::default(), carry: vec![0.0; n] }
+        DramSim {
+            cfg,
+            channels: vec![ch; n],
+            stats: DramStats::default(),
+            carry: vec![0.0; n],
+            queued: 0,
+        }
     }
 
     /// The active configuration.
@@ -245,11 +253,13 @@ impl DramSim {
             return false;
         }
         self.channels[ch].queue.push_back(req);
+        self.queued += 1;
         true
     }
 
     /// Advance to cycle `now`; completed responses are appended to `out`.
     pub fn tick(&mut self, now: u64, out: &mut Vec<Response>) {
+        self.queued = 0;
         for ci in 0..self.channels.len() {
             // Schedule every queued request, pipelining bank activations
             // under data transfers (the controller's lookahead).
@@ -313,6 +323,14 @@ impl DramSim {
                 }
             }
         }
+    }
+
+    /// Whether a request waits in a queue for the next [`DramSim::tick`]
+    /// to schedule it. With none queued, a tick before
+    /// [`DramSim::next_completion_time`] changes nothing, so an
+    /// event-driven caller may skip it.
+    pub fn has_queued(&self) -> bool {
+        self.queued > 0
     }
 
     /// Whether any request is queued or in flight.
@@ -518,6 +536,30 @@ mod tests {
         dram.tick(done + 501, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(dram.check_response_stall(done + 10_000), Ok(()));
+    }
+
+    #[test]
+    fn ticks_before_the_next_completion_change_nothing_when_nothing_is_queued() {
+        let mut dram = DramSim::new(DramKind::Hbm2);
+        for i in 0..6u64 {
+            // Six channels, reads and writes.
+            let req = Request { id: i, addr: i * 1792, bytes: 64, is_write: i % 3 == 0 };
+            assert!(dram.push(req));
+        }
+        let mut out = Vec::new();
+        dram.tick(1, &mut out);
+        assert!(out.is_empty());
+        assert!(!dram.has_queued());
+        let (stats, done) = (dram.stats(), dram.next_completion_time().expect("in flight"));
+        for now in 2..done {
+            dram.tick(now, &mut out);
+            assert!(out.is_empty(), "response at cycle {now}, before {done}");
+            assert_eq!(dram.stats(), stats, "stats moved at cycle {now}");
+            assert_eq!(dram.next_completion_time(), Some(done), "cycle {now}");
+        }
+        dram.tick(done, &mut out);
+        assert!(!out.is_empty(), "nothing retired at the completion cycle {done}");
+        assert_eq!(dram.stats(), stats, "retiring schedules nothing");
     }
 
     #[test]

@@ -10,19 +10,23 @@
 //!
 //! Two cycle-for-cycle equivalent schedulers are provided:
 //!
-//! * the **dense** reference loop steps every unit on every cycle;
+//! * the **dense** reference loop steps every unit and ticks every DRAM
+//!   controller on every cycle;
 //! * the default **active-list** (wakeup-driven) loop steps a unit only
 //!   when something it can observe changed — an input stream delivered a
 //!   packet, an output stream freed capacity, a DRAM response arrived, or
-//!   one of its own timers (AG run staleness) fired — and fast-forwards
-//!   the clock over cycles with no scheduled events.
+//!   one of its own timers (AG run staleness) fired — ticks DRAM only on
+//!   cycles with DRAM work, and fast-forwards the clock over cycles with
+//!   no scheduled events.
 //!
 //! The equivalence rests on one invariant of the unit steppers: stepping
 //! a unit whose observable state (its own state plus the dst-visible /
 //! src-visible state of adjacent streams) has not changed since its last
 //! step is a no-op. All stepper phases check availability before mutating
 //! anything, so a blocked unit stays blocked and side-effect-free until
-//! one of the wake conditions above occurs.
+//! one of the wake conditions above occurs. Every step also leaves a
+//! [`WaitSite`]: the counters its blocked unit waits on. One filter, the
+//! same for every unit kind, drops a wake that finds none of them moved.
 
 use crate::fault::{FaultPlan, Injector};
 use crate::link::Links;
@@ -31,7 +35,7 @@ use crate::profile::Profiler;
 use crate::sanitize::Sanitizer;
 use crate::stream::StreamRt;
 use crate::units::{
-    AgRt, CollRt, CompleteKind, Ctx, DistRt, StallClass, SyncRt, UKind, Units, VcuRt, VmuRt,
+    AgRt, CollRt, CompleteKind, Ctx, DistRt, SyncRt, UKind, Units, VcuRt, VmuRt, WaitSite,
 };
 use crate::watchdog;
 use plasticine_arch::{ChipSpec, SystemSpec};
@@ -225,6 +229,10 @@ impl Drams {
 
     fn busy(&self) -> bool {
         self.sims.iter().any(DramSim::busy)
+    }
+
+    fn has_queued(&self) -> bool {
+        self.sims.iter().any(DramSim::has_queued)
     }
 
     fn next_completion_time(&self) -> Option<u64> {
@@ -570,7 +578,8 @@ fn run(
     Ok(collect_outcome(g, now, &image, &units, drams.stats(), profile))
 }
 
-/// Step one unit; on stepper error, wrap into a [`SimError::Fault`].
+/// Step one unit, leaving its wait site in `site`; on stepper error,
+/// wrap into a [`SimError::Fault`].
 #[allow(clippy::too_many_arguments)]
 fn step_unit(
     units: &mut Units,
@@ -579,10 +588,11 @@ fn step_unit(
     streams: &mut [StreamRt],
     arena: &mut PacketArena,
     progress: &mut u64,
+    site: &mut WaitSite,
     dram: &mut DramSim,
     image: &mut [Elem],
 ) -> Result<(), SimError> {
-    let mut ctx = Ctx { now, streams, arena, progress };
+    let mut ctx = Ctx { now, streams, arena, progress, site };
     units.step(i, &mut ctx, dram, image).map_err(|message| SimError::Fault {
         cycle: now,
         unit: units.fault_label(i),
@@ -671,6 +681,8 @@ fn run_dense(
     let mut now: u64 = 0;
     let mut last_progress_cycle: u64 = 0;
     let mut responses = Vec::new();
+    // Every unit steps every cycle, so wait sites go unread.
+    let mut site = WaitSite::default();
     loop {
         now += 1;
         if now > cfg.max_cycles {
@@ -691,7 +703,7 @@ fn run_dense(
                 }
             }
             let before = progress;
-            step_unit(units, i, now, streams, arena, &mut progress, drams.of(i), image)?;
+            step_unit(units, i, now, streams, arena, &mut progress, &mut site, drams.of(i), image)?;
             if let Some(l) = links.as_mut() {
                 // Every unit steps every cycle, so slip wakes are moot.
                 l.after_step(i, now, streams, |_, _| {});
@@ -838,9 +850,37 @@ impl EventWheel {
     }
 }
 
+/// Schedule AG `i`'s staleness-flush probe for the open run's `deadline`
+/// (at the earliest next cycle). With `dedup`, one live probe per AG is
+/// kept in `armed`, and a later deadline waits for that probe to fire.
+fn arm_flush(
+    events: &mut EventWheel,
+    armed: &mut u64,
+    i: usize,
+    deadline: u64,
+    now: u64,
+    dedup: bool,
+) {
+    let t = deadline.max(now + 1);
+    if !dedup || *armed <= now || *armed > t {
+        events.push(t, i);
+        *armed = t;
+    }
+}
+
+/// The earlier of two optional cycles.
+#[inline]
+fn earliest(a: Option<u64>, b: Option<u64>) -> Option<u64> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, y) => x.or(y),
+    }
+}
+
 /// Wakeup-driven scheduler, cycle-for-cycle equivalent to [`run_dense`].
 ///
-/// A unit is stepped at cycle `t` iff an event targets it at `t`:
+/// A unit is stepped at cycle `t` iff an event targets it at `t` and its
+/// wait site lets it act:
 ///
 /// * **delivery** — a packet pushed to one of its input streams arrives
 ///   (push time + stream latency);
@@ -849,15 +889,26 @@ impl EventWheel {
 ///   visible to the producer the *same* cycle while a pop by a
 ///   higher-indexed one is visible the *next* cycle — the wake targets
 ///   the matching cycle;
-/// * **self** — its previous step changed anything (it may be able to do
-///   more next cycle, e.g. a VMU serving one port op per cycle);
+/// * **self** — its previous step changed anything without ending
+///   blocked (it may be able to do more next cycle, e.g. a VMU serving
+///   one port op per cycle);
 /// * **DRAM** — a response for one of its requests retired, or its
 ///   coalescing run hits the staleness deadline;
 /// * **link slip** — a packet pushed onto an inter-chip crossing had to
 ///   wait for link bandwidth: the consumer also wakes at the packet's
-///   slipped delivery cycle (its `now + latency` wake is then a no-op
-///   step);
+///   slipped delivery cycle (its `now + latency` wake is then dropped as
+///   a no-op);
 /// * **start** — every unit is stepped at cycle 1 (init tokens).
+///
+/// The wait-site filter is the same for every unit kind: a unit whose
+/// last step ended blocked ([`WaitSite`]) is stepped only when a counter
+/// it waits on moved since, or its deadline came. Any other wake would
+/// step it for nothing and is dropped, and a blocked unit gets no
+/// self-wake. Done VCUs get no wakes at all.
+///
+/// DRAM controllers tick only on cycles with DRAM work: a queued request
+/// (from an AG step or a retry) or a completion due. A tick with empty
+/// queues before the next completion changes nothing.
 ///
 /// When no event targets the current cycle the clock fast-forwards to the
 /// next event (bounded by the deadlock deadline and the cycle limit), and
@@ -900,12 +951,13 @@ fn run_active(
     let dst_of: Vec<usize> = g.streams.iter().map(|s| s.dst.index()).collect();
     let lat_of: Vec<u64> = streams.iter().map(|s| s.latency()).collect();
 
-    // The shortcuts that drop wakes (the stall filter, the stalled-VCU
-    // self-wake suppression and the flush-event dedup) only skip steps
-    // that would change nothing. That holds while nothing outside the
-    // stepped unit observes or mutates per-cycle state, so an attached
-    // fault injector, sanitizer or profiler turns them all off.
-    let unobserved = robust.inj.is_none() && robust.san.is_none() && prof.is_none();
+    // The shortcuts that drop wakes (the wait-site filter, the
+    // blocked-unit self-wake suppression and the flush-probe dedup) only
+    // skip steps that would change nothing. That holds while nothing
+    // outside the steppers mutates the run: a fault injector does, and
+    // the sanitizer audits it, so either turns them off. The profiler
+    // only observes and keeps them.
+    let unobserved = robust.inj.is_none() && robust.san.is_none();
 
     // Future wake events (cycle, unit). Duplicate entries are tolerated:
     // draining one merely sets an `active` flag.
@@ -919,15 +971,11 @@ fn run_active(
     // This round's wake list (indices into `units`), sorted before the
     // stepping pass; same-cycle wakes insert into the unprocessed tail.
     let mut alist: Vec<u32> = Vec::with_capacity(n);
-    // Precise stall wait-sets: when a VCU ends a step blocked, the engine
-    // snapshots the monotonic counter of the one stream whose change can
-    // unblock it (`arrived` for input/credit stalls, `freed` for output
-    // stalls). A wake that finds the counter unchanged is provably a
-    // no-op step and is dropped without running the stepper. Valid only
-    // while the unit's `stall_class != None`.
-    let mut stall_seen = vec![0u64; n];
-    // Pending staleness-flush wake per AG (dedup: one live flush event at
-    // a time; each fired probe re-arms the next deadline).
+    // What each unit's last step left it waiting for.
+    let mut sites = vec![WaitSite::default(); n];
+    // Pending staleness-flush probe per AG (dedup: one live probe at a
+    // time; a probe that steps the AG or is dropped by the filter re-arms
+    // the run's deadline).
     let mut flush_evt = vec![0u64; n];
     // VCUs not yet done — an O(1) guard in front of the full
     // `finished()` scan, which otherwise walks every unit and stream on
@@ -954,10 +1002,13 @@ fn run_active(
 
     loop {
         // ---- pick the next cycle with any event ----
-        let next_unit_event = events.next_time();
-        let inj_next = robust.inj.as_ref().and_then(|i| i.next_cycle(now));
-        let retry_next = robust.next_retry_deadline(units);
-        let target = [next_unit_event, dram_next, inj_next, retry_next].into_iter().flatten().min();
+        let mut target = earliest(events.next_time(), dram_next);
+        let (mut inj_next, mut retry_next) = (None, None);
+        if let Some(inj) = robust.inj.as_ref() {
+            inj_next = inj.next_cycle(now);
+            retry_next = robust.next_retry_deadline(units);
+            target = earliest(target, earliest(inj_next, retry_next));
+        }
         // The dense loop keeps ticking through event-free cycles, so it
         // reaches the no-progress deadline (or the cycle limit) even when
         // nothing is scheduled; reproduce both outcomes exactly.
@@ -997,7 +1048,6 @@ fn run_active(
         }
 
         // ---- collect this cycle's active set ----
-        let mut stepped_any = false;
         events.advance(now);
         events.drain_now(now, &mut active, &mut alist);
 
@@ -1017,30 +1067,19 @@ fn run_active(
                     continue;
                 }
             }
-            // Precise-wake filter: a VCU blocked at a recorded stall site
-            // stays blocked until *that* stream changes (conditions it
-            // already passed cannot unpass: its inputs only gain packets
-            // and its outputs only gain space without it stepping), so a
-            // wake that leaves the stall counter unchanged is dropped.
-            if unobserved {
-                if let Some(v) = units.vcu(i) {
-                    if let (class, Some(sid)) = (v.stall_class, v.stall_stream) {
-                        let sx = sid.index();
-                        let still = match class {
-                            StallClass::CreditPop | StallClass::InputData => {
-                                streams[sx].tick(now);
-                                streams[sx].arrived == stall_seen[i]
-                            }
-                            StallClass::OutputSpace => streams[sx].freed == stall_seen[i],
-                            StallClass::None => false,
-                        };
-                        if still {
-                            continue;
-                        }
-                    }
+            // Wait-site filter: a blocked unit stays blocked until a
+            // counter it waits on moves, so a wake that finds none moved
+            // would step it for nothing. A dropped wake may be the AG's
+            // staleness probe for an earlier deadline: re-arm the run's
+            // current one, or the run is never flushed.
+            if unobserved
+                && !sites[i].may_act(now, streams, || units.ag(i).map_or(0, |a| a.responses))
+            {
+                if let Some(t) = sites[i].deadline {
+                    arm_flush(&mut events, &mut flush_evt[i], i, t, now, true);
                 }
+                continue;
             }
-            stepped_any = true;
 
             // Lazy delivery: packets whose arrival time has passed become
             // visible exactly as the dense loop's global tick would make
@@ -1052,16 +1091,24 @@ fn run_active(
             let progress_before = progress;
             let was_done = matches!(units.kind[i], UKind::Vcu(k) if units.vcus[k as usize].done);
 
-            step_unit(units, i, now, streams, arena, &mut progress, drams.of(i), image)?;
+            step_unit(
+                units,
+                i,
+                now,
+                streams,
+                arena,
+                &mut progress,
+                &mut sites[i],
+                drams.of(i),
+                image,
+            )?;
             // A done VCU's step is unconditionally a no-op (`done` is
-            // sticky), so wakes targeting one are dropped. With the
-            // profiler attached, wakes are kept so per-cycle observations
-            // match the unpruned schedule.
-            let prune = prof.is_none();
+            // sticky), so no wake targets one.
+            let done = |units: &Units, u: usize| units.vcu(u).is_some_and(|v| v.done);
             if let Some(l) = links.as_mut() {
                 l.after_step(i, now, streams, |t, s| {
                     let dst = dst_of[s];
-                    if !(prune && units.vcu(dst).is_some_and(|v| v.done)) {
+                    if !done(units, dst) {
                         events.push(t, dst);
                     }
                 });
@@ -1073,23 +1120,8 @@ fn run_active(
                 }
                 p.observe_unit_streams(i, now, streams);
             }
-
-            if let UKind::Vcu(k) = units.kind[i] {
-                let v = &units.vcus[k as usize];
-                if v.done && !was_done {
-                    undone -= 1;
-                }
-                if unobserved {
-                    if let Some(sid) = v.stall_stream {
-                        // Inputs were ticked at step entry, so `arrived` is
-                        // current as of `now`; later deliveries re-tick in
-                        // the filter before comparing.
-                        stall_seen[i] = match v.stall_class {
-                            StallClass::OutputSpace => streams[sid.index()].freed,
-                            _ => streams[sid.index()].arrived,
-                        };
-                    }
-                }
+            if !was_done && done(units, i) {
+                undone -= 1;
             }
 
             let mut changed = progress > progress_before;
@@ -1099,7 +1131,7 @@ fn run_active(
                     seen_pushed[s] = streams[s].pushed;
                     changed = true;
                     let dst = dst_of[s];
-                    if !(prune && units.vcu(dst).is_some_and(|v| v.done)) {
+                    if !done(units, dst) {
                         events.push(now + lat_of[s], dst);
                     }
                 }
@@ -1118,7 +1150,7 @@ fn run_active(
                     seen_freed[s] = streams[s].freed;
                     changed = true;
                     let src = src_of[s];
-                    if !(prune && units.vcu(src).is_some_and(|v| v.done)) {
+                    if !done(units, src) {
                         if src > i {
                             // Same-cycle wake: insert into the unprocessed
                             // tail of the wake list, keeping it sorted.
@@ -1134,33 +1166,22 @@ fn run_active(
                     }
                 }
             }
-            if let Some(a) = units.ag(i) {
-                // Queue-full retry: the post-step DRAM tick always drains
-                // the request queue, so the next cycle can issue.
-                if a.wants_issue() {
+            // Queue-full retry: the post-step DRAM tick always drains the
+            // request queue, so the next cycle can issue.
+            if let UKind::Ag(k) = units.kind[i] {
+                if units.ags[k as usize].wants_issue() {
                     events.push(now + 1, i);
-                }
-                // The staleness flush is evaluated inside the step, so the
-                // unit must be stepped when the run's deadline passes.
-                if let Some(t) = a.flush_due() {
-                    let tt = t.max(now + 1);
-                    if !unobserved || flush_evt[i] <= now || flush_evt[i] > tt {
-                        events.push(tt, i);
-                        flush_evt[i] = tt;
-                    }
                 }
             }
-            if changed {
-                // A stalled VCU's self-wake would be dropped by the
-                // precise-wake filter anyway (only the recorded stall
-                // stream can unblock it, and that neighbor action
-                // schedules its own wake) — skip the heap churn.
-                let suppress = units.vcu(i).is_some_and(|v| {
-                    (prune && v.done) || (unobserved && v.stall_class != StallClass::None)
-                });
-                if !suppress {
-                    events.push(now + 1, i);
-                }
+            // The staleness flush is evaluated inside the step, so the
+            // unit must be stepped when the run's deadline passes.
+            if let Some(t) = sites[i].deadline {
+                arm_flush(&mut events, &mut flush_evt[i], i, t, now, unobserved);
+            }
+            // A blocked unit's self-wake would be dropped by the filter
+            // (whatever unblocks it schedules its own wake).
+            if changed && !done(units, i) && !(unobserved && sites[i].blocked) {
+                events.push(now + 1, i);
             }
         }
         alist.clear();
@@ -1178,18 +1199,17 @@ fn run_active(
             for (t, s) in wakes.deliveries {
                 events.push(t.max(now + 1), dst_of[s]);
             }
+            // ---- AG retry recovery ----
+            progress += robust.poll_ag_retries(now, units, drams)?;
         }
 
-        // ---- AG retry recovery (fault mode) ----
-        let reissued = robust.poll_ag_retries(now, units, drams)?;
-        progress += reissued;
-
         // ---- DRAM ----
-        // Requests are only pushed during unit steps (and retry polls) and
-        // ticking schedules the whole queue, so ticking every controller
-        // on step cycles plus completion cycles reproduces the dense
-        // loop's every-cycle tick exactly (idle ticks are no-ops).
-        if stepped_any || reissued > 0 || dram_next == Some(now) {
+        // Requests are only queued during unit steps and retry polls, and
+        // a tick schedules the whole queue, so ticking on cycles with a
+        // queued request or a completion due reproduces the dense loop's
+        // every-cycle tick exactly: any other tick changes nothing, and
+        // the profiler ignores its zero delta.
+        if dram_next == Some(now) || drams.has_queued() {
             responses.clear();
             drams.tick(now, &mut responses);
             if let Some(p) = prof.as_mut() {
@@ -1206,17 +1226,20 @@ fn run_active(
             }
             dram_next = drams.next_completion_time();
         }
-        // Fault-delayed responses re-deliver on their own schedule, DRAM
-        // tick or not (their deadline is folded into `target`).
-        let due = robust.inj.as_mut().map(|i| i.due_responses(now)).unwrap_or_default();
-        for r in due {
-            let ui = (r.id >> 32) as usize;
-            if deliver_response(now, &r, units, robust, &mut progress)? {
-                events.push(now + 1, ui);
+        if let Some(inj) = robust.inj.as_mut() {
+            // Fault-delayed responses re-deliver on their own schedule,
+            // DRAM tick or not (their deadline is folded into `target`).
+            for r in inj.due_responses(now) {
+                let ui = (r.id >> 32) as usize;
+                if deliver_response(now, &r, units, robust, &mut progress)? {
+                    events.push(now + 1, ui);
+                }
             }
         }
 
-        robust.sanitize_cycle(now, streams, units, drams)?;
+        if robust.san.is_some() {
+            robust.sanitize_cycle(now, streams, units, drams)?;
+        }
         if progress > 0 {
             last_progress_cycle = now;
         }

@@ -12,9 +12,10 @@
 //! a unit that is not stepped cannot change state (that is the wakeup
 //! invariant the active scheduler itself rests on), so the cycles between
 //! two observations are attributed to the unit's *resting* state — the
-//! classification recorded at the earlier observation. A dense no-op step
-//! re-derives exactly that classification, so the attributions agree
-//! cycle for cycle.
+//! classification a no-op step right after the earlier observation would
+//! derive (its stall, or idle once done; a step that made progress is
+//! active only in its own cycle). A dense no-op step re-derives exactly
+//! that classification, so the attributions agree cycle for cycle.
 //!
 //! Stream fullness and occupancy only change while an adjacent unit is
 //! stepped (ticking moves packets between the in-flight and queued
@@ -226,19 +227,23 @@ impl Profiler {
 
     /// Record a VCU observation for cycle `now` (call right after its
     /// step). Cycles since the previous observation are attributed to the
-    /// state recorded then.
+    /// resting state recorded then: the post-step classification, which
+    /// is what a no-op step would derive. For a unit that made progress
+    /// that is not `Active`: a VCU that fired and then blocked, or
+    /// finished, is not stepped again until it can act, while dense
+    /// classifies each of those cycles by the stall (or `Idle`).
     pub fn observe_vcu(&mut self, unit: usize, now: u64, v: &VcuRt, made_progress: bool) {
         let Some(ai) = self.vcu_of_unit[unit] else { return };
         let state = self.classify(v, made_progress);
+        let resting = if made_progress { self.classify(v, false) } else { state };
         let a = &mut self.vcus[ai];
         if now <= a.accounted_to {
             return;
         }
-        let resting = a.resting;
-        a.attribute(resting, a.accounted_to + 1, now - 1);
+        a.attribute(a.resting, a.accounted_to + 1, now - 1);
         a.attribute(state, now, now);
         a.accounted_to = now;
-        a.resting = state;
+        a.resting = resting;
         a.firings = v.firings;
     }
 

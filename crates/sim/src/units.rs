@@ -5,6 +5,11 @@
 //! [`UKind`] tag vector), stream payloads live in the shared
 //! [`PacketArena`], and every stepper reuses per-unit scratch buffers so
 //! the steady-state firing path performs no heap allocation.
+//!
+//! Every step also leaves a [`WaitSite`]: whether the unit's next step
+//! could act without an outside change, and if not, the monotonic
+//! counters whose change can unblock it. The active scheduler drops a
+//! wake that finds none of them moved.
 
 use crate::packet::{PacketArena, PacketRef};
 use crate::stream::StreamRt;
@@ -15,6 +20,68 @@ use sara_core::vudfg::{
 use sara_ir::Elem;
 use std::collections::{HashMap, VecDeque};
 
+/// A monotonic counter whose change can unblock a waiting unit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wait {
+    /// Packets delivered on an input stream ([`StreamRt::arrived`]).
+    Arrived(StreamId),
+    /// Slots released on an output stream ([`StreamRt::freed`]).
+    Freed(StreamId),
+    /// DRAM responses matched by the waiting AG ([`AgRt::responses`]).
+    Responses,
+}
+
+/// What a unit's next step waits for, as its last step left it.
+///
+/// A blocked unit's next step changes nothing until one of the `on`
+/// counters moves past the value it had when the step ended, or until
+/// `deadline` (an AG's coalescing-run staleness flush). The conditions a
+/// blocked step already passed cannot un-pass while it waits: its inputs
+/// only gain packets and its outputs only gain space.
+#[derive(Debug, Clone, Default)]
+pub struct WaitSite {
+    /// The next step is a no-op until a counter moves or the deadline
+    /// passes. A blocked site with no counters (a done VCU) never acts
+    /// again.
+    pub(crate) blocked: bool,
+    /// Each counter with its value at the end of the step.
+    pub(crate) on: Vec<(Wait, u64)>,
+    /// Cycle at which the unit acts whatever the counters say.
+    pub(crate) deadline: Option<u64>,
+}
+
+impl WaitSite {
+    fn clear(&mut self) {
+        self.blocked = false;
+        self.on.clear();
+        self.deadline = None;
+    }
+
+    /// Whether the unit's step at `now` may act: it is not blocked, its
+    /// deadline has come, or a counter it waits on moved. `responses`
+    /// reads the unit's matched-response count (AGs only).
+    #[inline]
+    pub(crate) fn may_act(
+        &self,
+        now: u64,
+        streams: &mut [StreamRt],
+        responses: impl Fn() -> u64,
+    ) -> bool {
+        if !self.blocked || self.deadline.is_some_and(|t| now >= t) {
+            return true;
+        }
+        self.on.iter().any(|&(w, seen)| match w {
+            Wait::Arrived(s) => {
+                let s = &mut streams[s.index()];
+                s.tick(now);
+                s.arrived != seen
+            }
+            Wait::Freed(s) => streams[s.index()].freed != seen,
+            Wait::Responses => responses() != seen,
+        })
+    }
+}
+
 /// Per-cycle stepping context shared by all units.
 pub struct Ctx<'a> {
     pub now: u64,
@@ -22,11 +89,35 @@ pub struct Ctx<'a> {
     pub arena: &'a mut PacketArena,
     /// Incremented on any state change (deadlock detection).
     pub progress: &'a mut u64,
+    /// Filled by the step: what the unit's next step waits for.
+    pub site: &'a mut WaitSite,
 }
 
 impl Ctx<'_> {
     fn s(&mut self, id: StreamId) -> &mut StreamRt {
         &mut self.streams[id.index()]
+    }
+
+    /// The first of `ids` with no room for a push.
+    fn first_full(&self, ids: &[StreamId]) -> Option<StreamId> {
+        ids.iter().copied().find(|s| !self.streams[s.index()].can_push())
+    }
+
+    /// Record a stream counter the next step waits on, at its current
+    /// value.
+    fn wait_on(&mut self, w: Wait) {
+        let seen = match w {
+            Wait::Arrived(s) => self.streams[s.index()].arrived,
+            Wait::Freed(s) => self.streams[s.index()].freed,
+            Wait::Responses => unreachable!("an AG records its own response count"),
+        };
+        self.site.on.push((w, seen));
+    }
+
+    /// End the step blocked on one stream counter.
+    fn block_on(&mut self, w: Wait) {
+        self.wait_on(w);
+        self.site.blocked = true;
     }
 
     fn push(&mut self, id: StreamId, p: PacketRef) {
@@ -212,6 +303,21 @@ impl VcuRt {
 
     fn width(&self) -> usize {
         self.spec.width.max(1) as usize
+    }
+
+    /// A done VCU never acts again; a stalled one waits on the stream its
+    /// stall site recorded.
+    fn record_wait(&self, ctx: &mut Ctx<'_>) {
+        if self.done {
+            ctx.site.blocked = true;
+            return;
+        }
+        let Some(s) = self.stall_stream else { return };
+        match self.stall_class {
+            StallClass::CreditPop | StallClass::InputData => ctx.block_on(Wait::Arrived(s)),
+            StallClass::OutputSpace => ctx.block_on(Wait::Freed(s)),
+            StallClass::None => {}
+        }
     }
 
     /// Valid lane count of the current innermost counter state.
@@ -850,16 +956,16 @@ pub struct SyncRt {
 impl SyncRt {
     pub fn step(&mut self, ctx: &mut Ctx<'_>) {
         loop {
-            for i in &self.inputs {
-                if ctx.s(*i).peek().is_none() {
+            for &i in &self.inputs {
+                if ctx.s(i).peek().is_none() {
+                    ctx.block_on(Wait::Arrived(i));
                     return;
                 }
             }
             for o in &self.outputs {
-                for s in &o.streams {
-                    if !ctx.s(*s).can_push() {
-                        return;
-                    }
+                if let Some(s) = ctx.first_full(&o.streams) {
+                    ctx.block_on(Wait::Freed(s));
+                    return;
                 }
             }
             for i in &self.inputs {
@@ -940,29 +1046,60 @@ impl VmuRt {
         &self.buffers[idx]
     }
 
+    /// The counter write port `i` waits on, or `None` when a step could
+    /// act on it (a data head that is an epoch marker counts: the step
+    /// skips it).
+    fn write_wait(&self, ctx: &Ctx<'_>, i: usize) -> Option<Wait> {
+        let port = self.spec.write_ports[i];
+        let addr_sid = self.inputs[port.addr_in];
+        let Some(head) = ctx.streams[addr_sid.index()].peek() else {
+            return Some(Wait::Arrived(addr_sid));
+        };
+        if let Some(s) = port.ack_out.and_then(|p| ctx.first_full(&self.outputs[p].streams)) {
+            return Some(Wait::Freed(s));
+        }
+        let data_sid = self.inputs[port.data_in];
+        let starved = !head.is_marker() && ctx.streams[data_sid.index()].peek().is_none();
+        starved.then_some(Wait::Arrived(data_sid))
+    }
+
+    /// The counter read port `i` waits on, or `None` when a step could
+    /// serve it.
+    fn read_wait(&self, ctx: &Ctx<'_>, i: usize) -> Option<Wait> {
+        let port = self.spec.read_ports[i];
+        let addr_sid = self.inputs[port.addr_in];
+        if ctx.streams[addr_sid.index()].peek().is_none() {
+            return Some(Wait::Arrived(addr_sid));
+        }
+        ctx.first_full(&self.outputs[port.data_out].streams).map(Wait::Freed)
+    }
+
+    /// Blocked only when no port could act on the next step, each port
+    /// waiting on its one counter.
+    fn record_wait(&self, ctx: &mut Ctx<'_>) {
+        for i in 0..self.spec.write_ports.len() {
+            let Some(w) = self.write_wait(ctx, i) else { return };
+            ctx.wait_on(w);
+        }
+        for i in 0..self.spec.read_ports.len() {
+            let Some(w) = self.read_wait(ctx, i) else { return };
+            ctx.wait_on(w);
+        }
+        ctx.site.blocked = true;
+    }
+
     pub fn step(&mut self, ctx: &mut Ctx<'_>) -> Result<(), String> {
         let m = self.buffers.len() as u64;
         // one write port per cycle, round robin
         let nw = self.spec.write_ports.len();
         for off in 0..nw {
             let i = (self.rr_w + off) % nw;
-            let port = self.spec.write_ports[i];
-            let addr_sid = self.inputs[port.addr_in];
-            let Some(head) = ctx.s(addr_sid).peek() else { continue };
-            // ack space if needed
-            let ack_ok = match port.ack_out {
-                Some(p) => {
-                    let mut ok = true;
-                    for s in &self.outputs[p].streams {
-                        ok &= ctx.s(*s).can_push();
-                    }
-                    ok
-                }
-                None => true,
-            };
-            if !ack_ok {
+            if self.write_wait(ctx, i).is_some() {
                 continue;
             }
+            let port = self.spec.write_ports[i];
+            let addr_sid = self.inputs[port.addr_in];
+            let head = ctx.s(addr_sid).peek().expect("checked");
             if head.is_marker() {
                 ctx.s(addr_sid).pop();
                 self.wr_epoch[i] += 1;
@@ -1028,16 +1165,12 @@ impl VmuRt {
         let nr = self.spec.read_ports.len();
         for off in 0..nr {
             let i = (self.rr_r + off) % nr;
-            let port = self.spec.read_ports[i];
-            let addr_sid = self.inputs[port.addr_in];
-            let Some(head) = ctx.s(addr_sid).peek() else { continue };
-            let mut ok = true;
-            for s in &self.outputs[port.data_out].streams {
-                ok &= ctx.s(*s).can_push();
-            }
-            if !ok {
+            if self.read_wait(ctx, i).is_some() {
                 continue;
             }
+            let port = self.spec.read_ports[i];
+            let addr_sid = self.inputs[port.addr_in];
+            let head = ctx.s(addr_sid).peek().expect("checked");
             if head.is_marker() {
                 ctx.s(addr_sid).pop();
                 self.rd_epoch[i] += 1;
@@ -1077,6 +1210,7 @@ impl VmuRt {
             self.rr_r = (i + 1) % nr;
             break;
         }
+        self.record_wait(ctx);
         Ok(())
     }
 }
@@ -1103,21 +1237,28 @@ impl DistRt {
     pub fn step(&mut self, ctx: &mut Ctx<'_>) -> Result<(), String> {
         loop {
             let bank_sid = self.inputs[self.spec.bank_in];
-            let Some(bank_pk) = ctx.s(bank_sid).peek() else { return Ok(()) };
+            let Some(bank_pk) = ctx.s(bank_sid).peek() else {
+                ctx.block_on(Wait::Arrived(bank_sid));
+                return Ok(());
+            };
             let pay_sid = self.inputs[self.spec.payload_in];
             // markers travel on both input streams; forward once
             if bank_pk.is_marker() {
-                let Some(pp) = ctx.s(pay_sid).peek() else { return Ok(()) };
+                let Some(pp) = ctx.s(pay_sid).peek() else {
+                    ctx.block_on(Wait::Arrived(pay_sid));
+                    return Ok(());
+                };
                 if !pp.is_marker() {
                     return Err("xbar-dist: marker misalignment".into());
                 }
-                let mut ok = true;
-                for p in self.spec.bank_outs.iter().chain(self.spec.ba_out.iter()) {
-                    for s in &self.outputs[*p].streams {
-                        ok &= ctx.s(*s).can_push();
-                    }
-                }
-                if !ok {
+                let full = self
+                    .spec
+                    .bank_outs
+                    .iter()
+                    .chain(self.spec.ba_out.iter())
+                    .find_map(|p| ctx.first_full(&self.outputs[*p].streams));
+                if let Some(s) = full {
+                    ctx.block_on(Wait::Freed(s));
                     return Ok(());
                 }
                 ctx.s(bank_sid).pop();
@@ -1131,6 +1272,7 @@ impl DistRt {
                 continue;
             }
             if ctx.s(pay_sid).peek().map(|p| p.is_marker()).unwrap_or(true) {
+                ctx.block_on(Wait::Arrived(pay_sid));
                 return Ok(());
             }
             let pay_pk =
@@ -1158,20 +1300,16 @@ impl DistRt {
                     self.groups[bi as usize].push(*v);
                 }
             }
-            let mut ok = true;
-            for (bi, g) in self.groups.iter().enumerate() {
-                if !g.is_empty() {
-                    for s in &self.outputs[self.spec.bank_outs[bi]].streams {
-                        ok &= ctx.s(*s).can_push();
-                    }
-                }
-            }
-            if let Some(p) = self.spec.ba_out {
-                for s in &self.outputs[p].streams {
-                    ok &= ctx.s(*s).can_push();
-                }
-            }
-            if !ok {
+            let full = self
+                .groups
+                .iter()
+                .zip(&self.spec.bank_outs)
+                .filter(|(g, _)| !g.is_empty())
+                .map(|(_, p)| p)
+                .chain(self.spec.ba_out.iter())
+                .find_map(|p| ctx.first_full(&self.outputs[*p].streams));
+            if let Some(s) = full {
+                ctx.block_on(Wait::Freed(s));
                 return Ok(());
             }
             let bank_owned = ctx.s(bank_sid).pop().expect("peeked");
@@ -1255,21 +1393,39 @@ impl CollRt {
         }
     }
 
+    /// End the step blocked: on `also`, and on an arrival at every empty
+    /// bank input, which the next step would drain. (A bank whose head
+    /// is a marker behind buffered elements cannot drain before this
+    /// unit assembles.)
+    fn block(&self, ctx: &mut Ctx<'_>, also: Option<Wait>) {
+        for &b in &self.spec.bank_ins {
+            let sid = self.inputs[b];
+            if ctx.s(sid).peek().is_none() {
+                ctx.wait_on(Wait::Arrived(sid));
+            }
+        }
+        if let Some(w) = also {
+            ctx.wait_on(w);
+        }
+        ctx.site.blocked = true;
+    }
+
     pub fn step(&mut self, ctx: &mut Ctx<'_>) -> Result<(), String> {
         loop {
             self.drain_banks(ctx);
             let ba_sid = self.inputs[self.spec.ba_in];
-            let Some(ba) = ctx.s(ba_sid).peek() else { return Ok(()) };
-            let mut ok = true;
-            for s in &self.outputs[self.spec.out].streams {
-                ok &= ctx.s(*s).can_push();
-            }
-            if !ok {
+            let Some(ba) = ctx.s(ba_sid).peek() else {
+                self.block(ctx, Some(Wait::Arrived(ba_sid)));
+                return Ok(());
+            };
+            if let Some(s) = ctx.first_full(&self.outputs[self.spec.out].streams) {
+                self.block(ctx, Some(Wait::Freed(s)));
                 return Ok(());
             }
             if ba.is_marker() {
                 // consume one marker from every bank
                 if self.markers.contains(&0) {
+                    self.block(ctx, None);
                     return Ok(());
                 }
                 ctx.s(ba_sid).pop();
@@ -1298,6 +1454,7 @@ impl CollRt {
                 }
             }
             if self.need.iter().enumerate().any(|(bi, n)| self.elems[bi].len() < *n) {
+                self.block(ctx, None);
                 return Ok(());
             }
             let ba = ctx.s(ba_sid).pop().expect("peeked");
@@ -1411,6 +1568,8 @@ pub struct AgRt {
     max_jobs: usize,
     /// Read-retirement assembly scratch, reused across jobs.
     read_scratch: Val,
+    /// DRAM responses matched so far ([`Wait::Responses`]).
+    pub(crate) responses: u64,
 }
 
 /// Burst coalescing cap in words (256 bytes).
@@ -1441,6 +1600,7 @@ impl AgRt {
             next_run: 0,
             max_jobs: 64,
             read_scratch: Vec::new(),
+            responses: 0,
         }
     }
 
@@ -1649,7 +1809,48 @@ impl AgRt {
             }
             *ctx.progress += 1;
         }
+        self.record_wait(ctx);
         Ok(())
+    }
+
+    /// What the next step waits on: nothing while flushed requests wait
+    /// for DRAM queue space (they retry next cycle), else the intake's
+    /// next input and the front job's DRAM responses or output space,
+    /// plus the open run's staleness deadline. An intake blocked on a
+    /// full job queue waits on the front job like the retire stage.
+    fn record_wait(&self, ctx: &mut Ctx<'_>) {
+        ctx.site.deadline = self.flush_due();
+        if self.wants_issue() {
+            return;
+        }
+        if self.jobs.len() < self.max_jobs {
+            let addr_sid = self.inputs[self.spec.addr_in];
+            let wait = match (ctx.s(addr_sid).peek(), self.spec.data_in) {
+                (None, _) => addr_sid,
+                (Some(head), Some(data_in))
+                    if !head.is_marker() && self.spec.dir == AgDir::Write =>
+                {
+                    // A queued data head (or marker to skip) lets the
+                    // intake act.
+                    let data_sid = self.inputs[data_in];
+                    if ctx.s(data_sid).peek().is_some() {
+                        return;
+                    }
+                    data_sid
+                }
+                (Some(_), _) => return,
+            };
+            ctx.wait_on(Wait::Arrived(wait));
+        }
+        if let Some(front) = self.jobs.front() {
+            if front.pending > 0 {
+                ctx.site.on.push((Wait::Responses, self.responses));
+            } else {
+                let Some(s) = ctx.first_full(&self.outputs[self.spec.out].streams) else { return };
+                ctx.wait_on(Wait::Freed(s));
+            }
+        }
+        ctx.site.blocked = true;
     }
 
     /// Record a DRAM completion for a tagged request, classifying it.
@@ -1669,6 +1870,7 @@ impl AgRt {
             };
         };
         self.retired_runs.insert(run_id);
+        self.responses += 1;
         for (seq, count) in fl.jobs {
             if let Some(job) = self.jobs.iter_mut().find(|j| j.seq == seq) {
                 job.pending = job.pending.saturating_sub(count as usize);
@@ -1682,6 +1884,15 @@ impl AgRt {
     /// Whether the front (in-order) job is waiting on a DRAM response.
     pub fn front_blocked_on_dram(&self) -> bool {
         self.jobs.front().map(|j| j.pending > 0).unwrap_or(false)
+    }
+
+    /// The open coalescing run, as `(words, last-append cycle)`, when it
+    /// holds words of the front job: those were never issued, so the job
+    /// waits on the run's staleness flush, not on DRAM.
+    pub(crate) fn front_in_open_run(&self) -> Option<(u64, u64)> {
+        let front = self.jobs.front()?;
+        let run = self.run.as_ref()?;
+        run.jobs.iter().any(|&(seq, _)| seq == front.seq).then_some((run.len, run.touched))
     }
 
     /// Outstanding issued runs.
@@ -1822,7 +2033,7 @@ impl Units {
         }
     }
 
-    /// Step unit `i` once.
+    /// Step unit `i` once, leaving its [`WaitSite`] in `ctx.site`.
     pub fn step(
         &mut self,
         i: usize,
@@ -1830,8 +2041,14 @@ impl Units {
         dram: &mut DramSim,
         image: &mut [Elem],
     ) -> Result<(), String> {
+        ctx.site.clear();
         match self.kind[i] {
-            UKind::Vcu(k) => self.vcus[k as usize].step(ctx),
+            UKind::Vcu(k) => {
+                let v = &mut self.vcus[k as usize];
+                v.step(ctx)?;
+                v.record_wait(ctx);
+                Ok(())
+            }
             UKind::Sync(k) => {
                 self.syncs[k as usize].step(ctx);
                 Ok(())
@@ -1841,5 +2058,66 @@ impl Units {
             UKind::Coll(k) => self.colls[k as usize].step(ctx),
             UKind::Ag(k) => self.ags[k as usize].step(ctx, dram, image),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use plasticine_arch::DramKind;
+    use sara_ir::MemId;
+
+    /// Step `ag` once at `now` and return the wait site it leaves.
+    fn step_ag(
+        ag: &mut AgRt,
+        now: u64,
+        streams: &mut [StreamRt],
+        arena: &mut PacketArena,
+        dram: &mut DramSim,
+    ) -> WaitSite {
+        let (mut progress, mut site) = (0, WaitSite::default());
+        let mut image = vec![Elem::F64(0.0); 64];
+        let mut ctx = Ctx { now, streams, arena, progress: &mut progress, site: &mut site };
+        ag.step(&mut ctx, dram, &mut image).expect("AG step");
+        site
+    }
+
+    /// A read AG whose only job sits in its open coalescing run waits on
+    /// the next address, on DRAM responses and on the run's staleness
+    /// deadline; at the deadline the run is flushed and issued, and the
+    /// job then waits on DRAM alone.
+    #[test]
+    fn ag_job_in_open_run_waits_for_the_flush_then_for_dram() {
+        let spec = AgUnit {
+            mem: MemId(0),
+            dir: AgDir::Read,
+            addr_in: 0,
+            data_in: None,
+            out: 0,
+            width: 1,
+            base_addr: 0,
+        };
+        let out = OutPort { streams: vec![StreamId(1)] };
+        let mut ag = AgRt::new(spec, vec![StreamId(0)], vec![out], "ag".into(), 0);
+        let mut streams = vec![StreamRt::new(1, 4, 0), StreamRt::new(1, 4, 0)];
+        let mut arena = PacketArena::new();
+        let mut dram = DramSim::new(DramKind::Hbm2);
+        let addr = arena.data(&[Elem::I64(5)]);
+        streams[0].push(0, addr);
+        streams[0].tick(1);
+
+        let site = step_ag(&mut ag, 1, &mut streams, &mut arena, &mut dram);
+        assert_eq!(ag.front_in_open_run(), Some((1, 1)), "one word, appended at cycle 1");
+        assert!(site.blocked);
+        assert_eq!(site.on, vec![(Wait::Arrived(StreamId(0)), 1), (Wait::Responses, 0)]);
+        assert_eq!(site.deadline, Some(1 + RUN_STALE_CYCLES));
+        assert!(!site.may_act(5, &mut streams, || 0), "nothing moved before the deadline");
+        assert!(site.may_act(1 + RUN_STALE_CYCLES, &mut streams, || 0));
+
+        let site = step_ag(&mut ag, 1 + RUN_STALE_CYCLES, &mut streams, &mut arena, &mut dram);
+        assert_eq!(ag.front_in_open_run(), None, "the stale run was flushed");
+        assert!(dram.has_queued() && ag.outstanding_runs() == 1);
+        assert!(site.blocked && site.deadline.is_none());
+        assert!(site.may_act(20, &mut streams, || 1), "a matched response may retire the job");
     }
 }

@@ -156,6 +156,19 @@ fn blocked_info(g: &Vudfg, i: usize, units: &Units, streams: &[StreamRt]) -> Opt
                 return None;
             }
             if a.front_blocked_on_dram() || a.wants_issue() || a.outstanding_runs() > 0 {
+                // Words still in the open coalescing run were never
+                // issued: name the run, not DRAM.
+                let detail = match a.front_in_open_run() {
+                    Some((words, touched)) => format!(
+                        "front job waits on an unflushed coalescing run of {words} word(s), \
+                         last appended at cycle {touched}"
+                    ),
+                    None => format!(
+                        "waiting on DRAM ({} outstanding run(s){})",
+                        a.outstanding_runs(),
+                        if a.wants_issue() { ", requests queued for issue" } else { "" }
+                    ),
+                };
                 return Some(Blocked {
                     member: WaitMember {
                         unit: i,
@@ -163,11 +176,7 @@ fn blocked_info(g: &Vudfg, i: usize, units: &Units, streams: &[StreamRt]) -> Opt
                         reason: StallReason::DramBlocked,
                         stream: None,
                         via: String::new(),
-                        detail: format!(
-                            "waiting on DRAM ({} outstanding run(s){})",
-                            a.outstanding_runs(),
-                            if a.wants_issue() { ", requests queued for issue" } else { "" }
-                        ),
+                        detail,
                     },
                     succ: None,
                 });

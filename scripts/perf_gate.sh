@@ -14,9 +14,11 @@
 # embedded paths derive from it, so for unchanged code the two binaries
 # are byte-identical and only the change itself can move code layout.
 #
-# Each pair runs BASE and HEAD back to back on `simlong` and on
-# `fabric20`, traced (--trace 1), alternating which side goes first, each
-# run in a fresh working directory. From every run's result line the gate
+# Each pair runs BASE and HEAD back to back on `simlong`, `fabric20` and
+# `multichip` (the one workload that runs `simulate_system`, whose
+# per-chip DRAM controllers the single-chip workloads never exercise),
+# traced (--trace 1), alternating which side goes first, each run in a
+# fresh working directory. From every run's result line the gate
 # reads `sim.cycles_per_s`: simulated cycles per second of the sim layer's
 # self time, scaled to perfbench's reference host speed. Two runs back to
 # back see the same host phase, so the ratio HEAD / BASE of a pair
@@ -32,7 +34,7 @@ PAIRS=5 # odd, so the median is one pair's ratio
 RUN_SECONDS=8
 SEED=7
 BOUND=0.80
-WORKLOADS=(simlong fabric20)
+WORKLOADS=(simlong fabric20 multichip)
 
 usage() {
   echo "usage: $0 BASE" >&2
