@@ -166,7 +166,7 @@ impl Default for AgSpec {
 /// The constraint view of one PU type consumed by compute partitioning and
 /// global merging (paper Table I / Table III: input/output arity, op
 /// capacity, buffer depth).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PartitionConstraints {
     /// Maximum operations (pipeline stages) per partition.
     pub max_ops: u32,

@@ -49,6 +49,9 @@ pub fn assign(
     let mut unit_parts: HashMap<UnitId, u32> = HashMap::new();
     let mut extra_latency: HashMap<UnitId, u32> = HashMap::new();
     let mut pcu_from_splits = 0usize;
+    // Unrolled lanes have identical dataflow graphs: solve each distinct
+    // problem once, and give every lane its partition count (or error).
+    let mut solved: HashMap<Problem, Result<usize, String>> = HashMap::new();
     for u in g.unit_ids() {
         let Some(v) = g.unit(u).as_vcu() else { continue };
         let costs: Vec<u32> = v.dfg.iter().map(|n| n.op.stage_cost(ts)).collect();
@@ -63,10 +66,12 @@ pub fn assign(
                 edges.push((src, i));
             }
         }
-        let problem = Problem::new(costs, edges, cons);
-        let sol =
-            partition(&problem, opts.partition_algo).map_err(CompileError::Unpartitionable)?;
-        let k = sol.num_groups.max(1) as u32;
+        let groups = solved
+            .entry(Problem::new(costs, edges, cons))
+            .or_insert_with_key(|p| partition(p, opts.partition_algo).map(|s| s.num_groups))
+            .clone()
+            .map_err(CompileError::Unpartitionable)?;
+        let k = groups.max(1) as u32;
         unit_parts.insert(u, k);
         extra_latency.insert(u, (k - 1) * chip.hop_latency);
         pcu_from_splits += k as usize;
@@ -211,7 +216,12 @@ mod tests {
     use sara_ir::BinOp;
 
     fn add_vcu(g: &mut Vudfg, ops: usize) -> UnitId {
-        let dfg = (0..ops).map(|_| DfgNode { op: NodeOp::Bin(BinOp::Add), ins: vec![] }).collect();
+        add_vcu_dfg(g, (0..ops).map(|_| vec![]).collect())
+    }
+
+    /// A VCU with one `Add` node per entry, fed by the listed nodes.
+    fn add_vcu_dfg(g: &mut Vudfg, ins: Vec<Vec<usize>>) -> UnitId {
+        let dfg = ins.into_iter().map(|ins| DfgNode { op: NodeOp::Bin(BinOp::Add), ins }).collect();
         g.add_unit(
             "u",
             UnitKind::Vcu(Vcu {
@@ -237,6 +247,49 @@ mod tests {
         assert_eq!(a.unit_parts[&u], 3);
         assert!(a.report.pcus >= 3);
         assert!(a.extra_latency[&u] > 0);
+    }
+
+    #[test]
+    fn identical_lanes_get_identical_splits() {
+        let mut g = Vudfg::new("t");
+        // two lanes of one 14-op chain on a 6-stage PCU
+        let chain = || (0..14).map(|i| if i == 0 { vec![] } else { vec![i - 1] }).collect();
+        let a = add_vcu_dfg(&mut g, chain());
+        let b = add_vcu_dfg(&mut g, chain());
+        let chip = ChipSpec::tiny_4x4();
+        let r = assign(&mut g, &chip, &CompilerOptions::default()).unwrap();
+        assert_eq!(r.unit_parts[&a], 3);
+        assert_eq!(r.unit_parts[&b], r.unit_parts[&a]);
+        assert_eq!(r.extra_latency[&b], r.extra_latency[&a]);
+        assert_eq!(r.extra_latency[&a], 2 * chip.hop_latency);
+    }
+
+    #[test]
+    fn repeated_unpartitionable_unit_fails_with_its_own_error() {
+        let chip = ChipSpec::tiny_4x4();
+        let max_in = PartitionConstraints::of_pcu(&chip.pcu).max_in as usize;
+        // the last node has one producer more than a PCU has inputs
+        let fan_in = || {
+            let mut ins = vec![vec![]; max_in + 1];
+            ins.push((0..=max_in).collect());
+            ins
+        };
+        let mut one = Vudfg::new("t");
+        add_vcu_dfg(&mut one, fan_in());
+        let mut two = one.clone();
+        add_vcu_dfg(&mut two, fan_in());
+        let opts = CompilerOptions::default();
+        let err = assign(&mut two, &chip, &opts).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            format!(
+                "partitioning failed: node {} has {} distinct producers, exceeding input arity \
+                 {max_in}",
+                max_in + 1,
+                max_in + 1
+            )
+        );
+        assert_eq!(err, assign(&mut one, &chip, &opts).unwrap_err().to_string());
     }
 
     #[test]

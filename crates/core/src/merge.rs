@@ -6,11 +6,9 @@
 //! restricts fusion to units with identical control signatures.
 
 use crate::partition::{partition, Algo, Problem, Solution};
-use crate::vudfg::{StreamKind, UnitId, UnitKind, Vudfg};
+use crate::vudfg::{Level, StreamKind, UnitId, UnitKind, Vudfg};
 use plasticine_arch::PartitionConstraints;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 /// Result of global merging.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -44,24 +42,24 @@ pub fn is_mergeable_compute(g: &Vudfg, u: UnitId) -> bool {
     }
 }
 
-/// Control-signature class of a unit: only units that iterate identically
-/// can share one physical unit's counter chain. Stream-driven helpers
-/// (sync, crossbars) have a dedicated class and merge among themselves.
-fn class_of(g: &Vudfg, u: UnitId) -> u32 {
-    match &g.unit(u).kind {
-        UnitKind::Vcu(v) => {
-            let mut h = DefaultHasher::new();
-            for l in &v.levels {
-                // Full level identity: lane offsets distinguish spatially
-                // unrolled lanes — one physical counter chain cannot serve
-                // two lanes.
-                format!("{l:?}").hash(&mut h);
+/// Control-signature class of each unit: only units that iterate
+/// identically can share one physical unit's counter chain. Each distinct
+/// VCU signature (full levels and SIMD width) gets a dense id from 1 in
+/// first-seen order; lane offsets distinguish spatially unrolled lanes,
+/// since one physical counter chain cannot serve two lanes. Stream-driven
+/// helpers (sync, crossbars) share class 0 and merge among themselves.
+fn classes_of(g: &Vudfg, units: &[UnitId]) -> Vec<u32> {
+    let mut ids: HashMap<(&[Level], u32), u32> = HashMap::new();
+    units
+        .iter()
+        .map(|u| match &g.unit(*u).kind {
+            UnitKind::Vcu(v) => {
+                let next = ids.len() as u32 + 1;
+                *ids.entry((&v.levels, v.width)).or_insert(next)
             }
-            v.width.hash(&mut h);
-            (h.finish() as u32) | 1 // never collides with the helper class 0
-        }
-        _ => 0,
-    }
+            _ => 0,
+        })
+        .collect()
 }
 
 /// Stage cost of a unit for merging purposes (zero-datapath units still
@@ -100,7 +98,7 @@ pub fn merge(
     let index: HashMap<UnitId, usize> = units.iter().enumerate().map(|(i, u)| (*u, i)).collect();
     let costs: Vec<u32> =
         units.iter().map(|u| cost_of(g, *u, transcendental_stages).min(cons.max_ops)).collect();
-    let classes: Vec<u32> = units.iter().map(|u| class_of(g, *u)).collect();
+    let classes = classes_of(g, &units);
     let mut edges = Vec::new();
     for s in &g.streams {
         // Credit-initialized token streams break cycles by construction.
@@ -121,7 +119,7 @@ pub fn merge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vudfg::{CBound, DfgNode, Level, NodeOp, Vcu, VcuRole};
+    use crate::vudfg::{CBound, DfgNode, NodeOp, SyncUnit, Vcu, VcuRole};
     use sara_ir::{BinOp, CtrlId};
 
     fn vcu(levels: Vec<Level>, n_ops: usize) -> UnitKind {
@@ -179,6 +177,21 @@ mod tests {
         let plan = merge(&g, cons(), 2, Algo::BestTraversal, &HashMap::new()).unwrap();
         assert_eq!(plan.merged_count(), 2);
         assert_ne!(plan.group_of(a), plan.group_of(b));
+    }
+
+    #[test]
+    fn signatures_get_dense_classes_in_first_seen_order() {
+        let mut g = Vudfg::new("t");
+        let a = g.add_unit("a", vcu(vec![lvl(2)], 1));
+        let b = g.add_unit("b", vcu(vec![lvl(1)], 1));
+        let sync = g.add_unit("sync", UnitKind::Sync(SyncUnit));
+        let c = g.add_unit("c", vcu(vec![lvl(2)], 1));
+        let mut wide = vcu(vec![lvl(2)], 1);
+        if let UnitKind::Vcu(v) = &mut wide {
+            v.width = 4;
+        }
+        let d = g.add_unit("d", wide);
+        assert_eq!(classes_of(&g, &[a, b, sync, c, d]), vec![1, 2, 0, 1, 3]);
     }
 
     #[test]

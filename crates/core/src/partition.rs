@@ -13,15 +13,24 @@
 //!   best traversal solution and stopped at a configurable optimality gap
 //!   or time budget — near-optimal, slow. (The paper uses Gurobi; this
 //!   reproduction ships its own exact-model solver, see DESIGN.md.)
+//!
+//! The traversal packer costs each node its degree. [`partition`] builds
+//! per-node predecessor and successor lists once per call, and the open
+//! group keeps its input and output arity as counters that change only
+//! where a joining node's edges land. [`Problem::check`] finds every
+//! group's arity in one sort over the edges. The solver keeps its own
+//! from-scratch arity check for partial assignments, so its search order
+//! does not depend on the packer's bookkeeping. Unrolled lanes share one
+//! `Problem`, so `assign` solves each distinct problem once per call.
 
 use crate::depgraph::DiGraph;
 use plasticine_arch::PartitionConstraints;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// A partitioning problem instance: a DAG of nodes with stage costs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Problem {
     /// Stage cost per node (0-cost nodes ride along for free).
     pub costs: Vec<u32>,
@@ -100,14 +109,33 @@ impl Problem {
         if let Some((g, c)) = cost.iter().enumerate().find(|(_, c)| **c > self.cons.max_ops) {
             return Err(format!("group {g} cost {c} exceeds {}", self.cons.max_ops));
         }
-        // arity
-        for g in 0..n_groups {
-            let (ins, outs) = self.group_arity(group, g);
-            if ins > self.cons.max_in as usize {
-                return Err(format!("group {g} input arity {ins}"));
+        // arity: unique external producers feeding each group, and unique
+        // members with an external consumer (broadcast counts once), from
+        // one sort of `(group, node)` pairs
+        let mut ins = Vec::new();
+        let mut outs = Vec::new();
+        for &(a, b) in &self.edges {
+            if group[a] != group[b] {
+                ins.push((group[b], a));
+                outs.push((group[a], a));
             }
-            if outs > self.cons.max_out as usize {
-                return Err(format!("group {g} output arity {outs}"));
+        }
+        let per_group = |mut pairs: Vec<(usize, usize)>| {
+            pairs.sort_unstable();
+            pairs.dedup();
+            let mut count = vec![0usize; n_groups];
+            for (g, _) in pairs {
+                count[g] += 1;
+            }
+            count
+        };
+        let (ins, outs) = (per_group(ins), per_group(outs));
+        for g in 0..n_groups {
+            if ins[g] > self.cons.max_in as usize {
+                return Err(format!("group {g} input arity {}", ins[g]));
+            }
+            if outs[g] > self.cons.max_out as usize {
+                return Err(format!("group {g} output arity {}", outs[g]));
             }
         }
         // class feasibility
@@ -129,23 +157,6 @@ impl Problem {
             return Err("cyclic quotient".into());
         }
         Ok(n_groups)
-    }
-
-    /// `(input arity, output arity)` of one group under an assignment:
-    /// unique external producer nodes feeding the group, and unique group
-    /// nodes with at least one external consumer (broadcast counts once).
-    pub fn group_arity(&self, group: &[usize], g: usize) -> (usize, usize) {
-        let mut ins: HashSet<usize> = HashSet::new();
-        let mut outs: HashSet<usize> = HashSet::new();
-        for (a, b) in &self.edges {
-            if group[*b] == g && group[*a] != g {
-                ins.insert(*a);
-            }
-            if group[*a] == g && group[*b] != g {
-                outs.insert(*a);
-            }
-        }
-        (ins.len(), outs.len())
     }
 }
 
@@ -215,71 +226,95 @@ pub fn partition(p: &Problem, algo: Algo) -> Result<Solution, String> {
     if let Some((i, c)) = p.costs.iter().enumerate().find(|(_, c)| **c > p.cons.max_ops) {
         return Err(format!("node {i} cost {c} exceeds unit capacity {}", p.cons.max_ops));
     }
+    let adj = Adjacency::new(p);
     // A node with more distinct producers than input ports is infeasible
     // even in a singleton group.
-    for i in 0..p.len() {
-        let preds: HashSet<usize> =
-            p.edges.iter().filter(|(_, b)| *b == i).map(|(a, _)| *a).collect();
-        if preds.len() > p.cons.max_in as usize {
-            return Err(format!(
-                "node {i} has {} distinct producers, exceeding input arity {}",
-                preds.len(),
-                p.cons.max_in
-            ));
-        }
+    if let Some((i, preds)) =
+        adj.preds.iter().enumerate().find(|(_, ps)| ps.len() > p.cons.max_in as usize)
+    {
+        return Err(format!(
+            "node {i} has {} distinct producers, exceeding input arity {}",
+            preds.len(),
+            p.cons.max_in
+        ));
     }
     match algo {
-        Algo::Traversal(ord) => traversal(p, ord),
-        Algo::BestTraversal => {
-            let mut best: Option<Solution> = None;
-            for ord in TraversalOrder::ALL {
-                let s = traversal(p, ord)?;
-                if best.as_ref().map(|b| s.num_groups < b.num_groups).unwrap_or(true) {
-                    best = Some(s);
-                }
-            }
-            best.ok_or_else(|| "no traversal order produced a partition".to_string())
-        }
-        Algo::Solver(cfg) => solver(p, cfg),
+        Algo::Traversal(ord) => traversal(p, &adj, ord),
+        Algo::BestTraversal => best_traversal(p, &adj),
+        Algo::Solver(cfg) => solver(p, &adj, cfg),
     }
 }
 
-/// Topological order with DFS/BFS tie-breaking, forward or backward.
-fn order_nodes(p: &Problem, ord: TraversalOrder) -> Vec<usize> {
-    let n = p.len();
-    let g = p.graph();
-    let backward = matches!(ord, TraversalOrder::DfsBwd | TraversalOrder::BfsBwd);
-    // Build the graph to traverse (reverse edges for backward orders).
-    let mut adj = vec![Vec::new(); n];
-    let mut indeg = vec![0usize; n];
-    for (a, b) in g.edges() {
-        let (x, y) = if backward { (b, a) } else { (a, b) };
-        adj[x].push(y);
-        indeg[y] += 1;
+/// Per-node adjacency of a problem's edges, repeats and self-loops
+/// dropped as [`Problem::new`] drops them, in the order a [`DiGraph`]
+/// built from them holds it: successors in first-seen edge order,
+/// predecessors by ascending source.
+struct Adjacency {
+    preds: Vec<Vec<usize>>,
+    succs: Vec<Vec<usize>>,
+}
+
+impl Adjacency {
+    fn new(p: &Problem) -> Self {
+        let n = p.len();
+        let mut succs = vec![Vec::new(); n];
+        for &(a, b) in &p.edges {
+            succs[a].push(b);
+        }
+        // `last[b]` is the latest source that listed `b`.
+        let mut last = vec![usize::MAX; n];
+        for (a, ss) in succs.iter_mut().enumerate() {
+            ss.retain(|&b| b != a && std::mem::replace(&mut last[b], a) != a);
+        }
+        let mut preds = vec![Vec::new(); n];
+        for (a, ss) in succs.iter().enumerate() {
+            for &b in ss {
+                preds[b].push(a);
+            }
+        }
+        Adjacency { preds, succs }
     }
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+}
+
+/// Best of the four traversal orders (the first one on a tie).
+fn best_traversal(p: &Problem, adj: &Adjacency) -> Result<Solution, String> {
+    let mut best: Option<Solution> = None;
+    for ord in TraversalOrder::ALL {
+        let s = traversal(p, adj, ord)?;
+        if best.as_ref().map(|b| s.num_groups < b.num_groups).unwrap_or(true) {
+            best = Some(s);
+        }
+    }
+    best.ok_or_else(|| "no traversal order produced a partition".to_string())
+}
+
+/// Topological order with DFS/BFS tie-breaking, forward or backward.
+fn order_nodes(adj: &Adjacency, ord: TraversalOrder) -> Vec<usize> {
+    let backward = matches!(ord, TraversalOrder::DfsBwd | TraversalOrder::BfsBwd);
+    // Traverse reversed edges for backward orders.
+    let (next, prev) = if backward { (&adj.preds, &adj.succs) } else { (&adj.succs, &adj.preds) };
+    let n = next.len();
+    let mut indeg: Vec<usize> = prev.iter().map(Vec::len).collect();
+    let mut ready: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
     let mut out = Vec::with_capacity(n);
     let dfs = matches!(ord, TraversalOrder::DfsFwd | TraversalOrder::DfsBwd);
-    while let Some(x) = if dfs { ready.pop() } else { Some(ready.remove(0)) } {
+    while let Some(x) = if dfs { ready.pop_back() } else { ready.pop_front() } {
         out.push(x);
-        for &s in &adj[x] {
+        for &s in &next[x] {
             indeg[s] -= 1;
             if indeg[s] == 0 {
                 // DFS: newly enabled nodes go on top (depth-first chains);
                 // BFS: at the back (layer by layer).
-                ready.push(s);
+                ready.push_back(s);
             }
-        }
-        if out.len() == n {
-            break;
         }
         if ready.is_empty() && out.len() < n {
             // Cycle remnants (should not happen on DAGs): append rest.
-            for i in 0..n {
-                if !out.contains(&i) {
-                    out.push(i);
-                }
+            let mut placed = vec![false; n];
+            for &x in &out {
+                placed[x] = true;
             }
+            out.extend((0..n).filter(|&i| !placed[i]));
             break;
         }
     }
@@ -291,54 +326,140 @@ fn order_nodes(p: &Problem, ord: TraversalOrder) -> Vec<usize> {
 
 /// Greedy consecutive packing along a topological order. Packing
 /// consecutive order segments guarantees the quotient stays acyclic.
-fn traversal(p: &Problem, ord: TraversalOrder) -> Result<Solution, String> {
-    let order = order_nodes(p, ord);
-    let n = p.len();
-    let mut group = vec![usize::MAX; n];
-    let mut gid = 0usize;
+fn traversal(p: &Problem, adj: &Adjacency, ord: TraversalOrder) -> Result<Solution, String> {
+    let mut open = OpenGroup::new(adj);
     let mut gcost = 0u32;
     let mut grep: Option<usize> = None;
-    for (i, &node) in order.iter().enumerate() {
+    for (i, node) in order_nodes(adj, ord).into_iter().enumerate() {
         let c = p.costs[node];
         if i > 0 {
             // try current group
-            group[node] = gid;
             let fits = gcost + c <= p.cons.max_ops
                 && grep.map(|r| p.compatible(r, node)).unwrap_or(true)
-                && arity_ok(p, &group, gid);
+                && open.arity_ok_with(node, p.cons);
             if !fits {
-                group[node] = usize::MAX;
-                gid += 1;
+                open.close();
                 gcost = 0;
                 grep = None;
             }
         }
-        group[node] = gid;
+        open.join(node);
         gcost += c;
         grep = grep.or(Some(node));
-        if !arity_ok(p, &group, gid) {
-            // a single node violating arity cannot be fixed by packing;
-            // keep it alone (arity with one node is minimal already)
-            if count_in_group(&group, gid) > 1 {
-                group[node] = gid + 1;
-                gid += 1;
-                gcost = c;
-                grep = Some(node);
-            }
-        }
     }
-    let num_groups = gid + 1;
+    // A node that opens a group stays there even when it alone breaks
+    // the arity limits; the check below reports it.
+    let sol = Solution { num_groups: open.gid + 1, group: open.group };
     // Final validation (acyclicity holds by construction for forward
     // segment packing; verify everything anyway).
-    let sol = Solution { group, num_groups };
     p.check(&sol.group).map_err(|e| format!("traversal produced invalid solution: {e}"))?;
     Ok(sol)
 }
 
-fn count_in_group(group: &[usize], g: usize) -> usize {
-    group.iter().filter(|x| **x == g).count()
+/// The traversal's assignment so far, with the arity of its open group
+/// (`gid`) kept up to date as nodes join. Unassigned nodes and closed
+/// groups count as outside.
+struct OpenGroup<'a> {
+    adj: &'a Adjacency,
+    group: Vec<usize>,
+    gid: usize,
+    /// Per outside node: its edges into the group.
+    feeds: Vec<u32>,
+    /// Per member: its consumers outside the group.
+    leaves: Vec<u32>,
+    /// Input arity: outside nodes with `feeds > 0`.
+    ins: usize,
+    /// Output arity: members with `leaves > 0`.
+    outs: usize,
+    /// Nodes whose counters may be nonzero, reset when the group closes.
+    touched: Vec<usize>,
 }
 
+impl<'a> OpenGroup<'a> {
+    fn new(adj: &'a Adjacency) -> Self {
+        let n = adj.succs.len();
+        OpenGroup {
+            adj,
+            group: vec![usize::MAX; n],
+            gid: 0,
+            feeds: vec![0; n],
+            leaves: vec![0; n],
+            ins: 0,
+            outs: 0,
+            touched: Vec::new(),
+        }
+    }
+
+    fn is_member(&self, v: usize) -> bool {
+        self.group[v] == self.gid
+    }
+
+    /// Whether the open group with `x` added stays within the arity
+    /// limits. Costs the degree of `x`.
+    fn arity_ok_with(&self, x: usize, cons: PartitionConstraints) -> bool {
+        // `x` stops being a producer from outside; outside producers of
+        // `x` start feeding the group.
+        let mut ins = self.ins - usize::from(self.feeds[x] > 0);
+        let mut outs = self.outs;
+        for &v in &self.adj.preds[x] {
+            if !self.is_member(v) {
+                ins += usize::from(self.feeds[v] == 0);
+            } else if self.leaves[v] == 1 {
+                // `x` was this member's last outside consumer.
+                outs -= 1;
+            }
+        }
+        if self.adj.succs[x].iter().any(|&s| !self.is_member(s)) {
+            outs += 1;
+        }
+        ins <= cons.max_in as usize && outs <= cons.max_out as usize
+    }
+
+    /// Add `x` to the open group.
+    fn join(&mut self, x: usize) {
+        let adj = self.adj;
+        if self.feeds[x] > 0 {
+            self.feeds[x] = 0;
+            self.ins -= 1;
+        }
+        for &v in &adj.preds[x] {
+            if !self.is_member(v) {
+                if self.feeds[v] == 0 {
+                    self.ins += 1;
+                    self.touched.push(v);
+                }
+                self.feeds[v] += 1;
+            } else {
+                self.leaves[v] -= 1;
+                self.outs -= usize::from(self.leaves[v] == 0);
+            }
+        }
+        for &s in &adj.succs[x] {
+            if !self.is_member(s) {
+                if self.leaves[x] == 0 {
+                    self.outs += 1;
+                    self.touched.push(x);
+                }
+                self.leaves[x] += 1;
+            }
+        }
+        self.group[x] = self.gid;
+    }
+
+    /// Close the open group and open the next, empty one.
+    fn close(&mut self) {
+        for v in self.touched.drain(..) {
+            self.feeds[v] = 0;
+            self.leaves[v] = 0;
+        }
+        self.ins = 0;
+        self.outs = 0;
+        self.gid += 1;
+    }
+}
+
+/// The solver's arity check of group `g` under a partial assignment,
+/// from scratch over every edge.
 fn arity_ok(p: &Problem, group: &[usize], g: usize) -> bool {
     // Treat unassigned (usize::MAX) as external.
     let (ins, outs) = group_arity_partial(p, group, g);
@@ -365,14 +486,14 @@ fn group_arity_partial(p: &Problem, group: &[usize], g: usize) -> (usize, usize)
 /// assigned in topological order either to an existing group or to a new
 /// one; partial assignments are pruned against capacity/arity/acyclicity
 /// and against the incumbent bound.
-fn solver(p: &Problem, cfg: SolverCfg) -> Result<Solution, String> {
-    let warm = partition(p, Algo::BestTraversal)?;
+fn solver(p: &Problem, adj: &Adjacency, cfg: SolverCfg) -> Result<Solution, String> {
+    let warm = best_traversal(p, adj)?;
     let lb = p.lower_bound();
     let target = ((lb as f64) * (1.0 + cfg.gap)).floor() as usize;
     if warm.num_groups <= target.max(lb) {
         return Ok(warm);
     }
-    let order = order_nodes(p, TraversalOrder::BfsFwd);
+    let order = order_nodes(adj, TraversalOrder::BfsFwd);
     let deadline = Instant::now() + Duration::from_millis(cfg.budget_ms);
     let mut best = warm.clone();
     let n = p.len();

@@ -87,7 +87,7 @@ pub struct Stream {
 
 /// A control level of a unit's control context, outermost first. The chain
 /// mirrors the unit's ancestor controllers in the original program.
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Level {
     /// Counted loop level. Bounds are constants or values consumed from an
     /// input port once per activation of this level (dynamic bounds,
@@ -141,7 +141,7 @@ impl Level {
 }
 
 /// A counter bound: constant or streamed from an input port.
-#[derive(Debug, Clone, Copy, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CBound {
     Const(i64),
     /// Index into the unit's input list; one value consumed per activation

@@ -32,7 +32,7 @@ use crate::engine::{Deadline, Engine, TIMEOUT_PREFIX};
 use crate::store::StoreFaults;
 use sara_dse::KnobConfig;
 use sara_util::Json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -305,10 +305,79 @@ fn raw_connect(socket: &Path) -> Result<UnixStream, String> {
     UnixStream::connect(socket).map_err(|e| format!("connect {}: {e}", socket.display()))
 }
 
+/// A valid request whose answer the soak never reads.
+const RUN_REQUEST: &[u8] = b"{\"op\": \"run\", \"workload\": \"dotprod\", \"pnr_seed\": 7}\n";
+
+/// Write `request` on a connected stream. Returns `false` when the
+/// server closed first: a server whose queue is full writes a typed
+/// `backpressure` line and closes without reading the request, and a
+/// write after that close fails with `BrokenPipe` or `ConnectionReset`.
+/// A Unix socket keeps what the peer wrote before it closed, so the
+/// caller can still read the line and judge it.
+fn send(s: &mut UnixStream, request: &[u8]) -> Result<bool, String> {
+    match s.write_all(request) {
+        Ok(()) => Ok(true),
+        Err(e) if matches!(e.kind(), ErrorKind::BrokenPipe | ErrorKind::ConnectionReset) => {
+            Ok(false)
+        }
+        Err(e) => Err(format!("send: {e}")),
+    }
+}
+
+/// Read one answer line.
+fn recv(s: UnixStream) -> Result<String, String> {
+    let mut line = String::new();
+    BufReader::new(s).read_line(&mut line).map_err(|e| format!("recv: {e}"))?;
+    Ok(line)
+}
+
+/// Whether an answer line is the typed shed of a full queue.
+fn is_shed(line: &str) -> bool {
+    Json::parse(line.trim())
+        .is_ok_and(|doc| doc.get("code").and_then(Json::as_str) == Some("backpressure"))
+}
+
+/// Garbage line: must come back as one typed error line (a shed is one).
+fn garbage(mut s: UnixStream) -> Result<(), String> {
+    send(&mut s, b"{{{ not json at all\n")?;
+    let line = recv(s)?;
+    let doc = Json::parse(line.trim()).map_err(|e| format!("unparseable error response: {e}"))?;
+    if doc.get("error").and_then(Json::as_str).is_none() {
+        return Err("garbage must yield a typed error line".into());
+    }
+    Ok(())
+}
+
+/// A request, then the connection dropped without reading the answer:
+/// the server writes into a closed socket and must shrug it off. A
+/// server that closed before the write must have shed the connection.
+fn send_and_drop(mut s: UnixStream, request: &[u8]) -> Result<(), String> {
+    if !send(&mut s, request)? {
+        let line = recv(s)?;
+        if !is_shed(&line) {
+            return Err(format!("closed before the request, answering {line:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// A full valid round trip mixed into the abuse: answered `ok`, or shed
+/// with a typed `backpressure` line.
+fn ping(mut s: UnixStream) -> Result<(), String> {
+    send(&mut s, b"{\"op\": \"ping\"}\n")?;
+    let line = recv(s)?;
+    if !line.contains("\"ok\"") && !is_shed(&line) {
+        return Err(format!("ping answered {line:?}"));
+    }
+    Ok(())
+}
+
 /// Abuse a live server socket: garbage requests, connections dropped
 /// before, during, and after a request, and partial writes. A mid-soak
 /// `ping` must be answered `ok` or shed with a typed `backpressure`
-/// line (dropped `run` requests may hold every worker). After the whole
+/// line (dropped `run` requests may hold every worker). An arm whose
+/// write finds the connection already closed reads the server's line
+/// anyway and accepts only that typed shed. After the whole
 /// schedule the server must still answer a `ping` `ok`, retrying
 /// backpressure under [`RetryPolicy::default`] — no panic, no wedged
 /// worker.
@@ -325,56 +394,15 @@ pub fn transport_soak(
 ) -> Result<(), String> {
     let mut rng = Rng::new(seed);
     for op in 0..ops {
+        let at = |e: String| format!("op {op}: {e}");
         match rng.below(5) {
-            // Garbage line: must come back as one typed error line.
-            0 => {
-                let mut s = raw_connect(socket)?;
-                s.write_all(b"{{{ not json at all\n").map_err(|e| format!("send: {e}"))?;
-                let mut line = String::new();
-                BufReader::new(s)
-                    .read_line(&mut line)
-                    .map_err(|e| format!("op {op}: recv after garbage: {e}"))?;
-                let doc = Json::parse(line.trim())
-                    .map_err(|e| format!("op {op}: unparseable error response: {e}"))?;
-                if doc.get("error").and_then(Json::as_str).is_none() {
-                    return Err(format!("op {op}: garbage must yield a typed error line"));
-                }
-            }
-            // Valid request, connection dropped without reading the
-            // response: the server writes into a closed socket and must
-            // shrug it off.
-            1 => {
-                let mut s = raw_connect(socket)?;
-                s.write_all(b"{\"op\": \"run\", \"workload\": \"dotprod\", \"pnr_seed\": 7}\n")
-                    .map_err(|e| format!("send: {e}"))?;
-                drop(s);
-            }
+            0 => garbage(raw_connect(socket)?).map_err(at)?,
+            1 => send_and_drop(raw_connect(socket)?, RUN_REQUEST).map_err(at)?,
             // Connect-and-vanish.
-            2 => {
-                let s = raw_connect(socket)?;
-                drop(s);
-            }
+            2 => drop(raw_connect(socket)?),
             // Partial request line (no terminating newline), then gone.
-            3 => {
-                let mut s = raw_connect(socket)?;
-                s.write_all(b"{\"op\": \"ru").map_err(|e| format!("send: {e}"))?;
-                drop(s);
-            }
-            // A full valid round trip mixed into the abuse.
-            _ => {
-                let mut s = raw_connect(socket)?;
-                s.write_all(b"{\"op\": \"ping\"}\n").map_err(|e| format!("send: {e}"))?;
-                let mut line = String::new();
-                BufReader::new(s)
-                    .read_line(&mut line)
-                    .map_err(|e| format!("op {op}: recv: {e}"))?;
-                let shed = Json::parse(line.trim()).is_ok_and(|doc| {
-                    doc.get("code").and_then(Json::as_str) == Some("backpressure")
-                });
-                if !line.contains("\"ok\"") && !shed {
-                    return Err(format!("op {op}: ping answered {line:?}"));
-                }
-            }
+            3 => send_and_drop(raw_connect(socket)?, b"{\"op\": \"ru").map_err(at)?,
+            _ => ping(raw_connect(socket)?).map_err(at)?,
         }
         progress.fetch_add(1, Ordering::Relaxed);
     }
@@ -389,5 +417,36 @@ pub fn transport_soak(
             "server no longer answers after transport soak: {:?}",
             last.map(Json::pretty)
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The far end of a pair stands in for a server with a full queue:
+    /// it writes the typed shed and closes before the arm writes, so the
+    /// arm's write fails with `BrokenPipe`.
+    fn shed_stream() -> UnixStream {
+        let (near, mut far) = UnixStream::pair().unwrap();
+        far.write_all(b"{\"error\": \"busy: queue full\", \"code\": \"backpressure\"}\n").unwrap();
+        drop(far);
+        near
+    }
+
+    #[test]
+    fn arms_accept_a_shed_that_closes_before_the_request() {
+        assert_eq!(send(&mut shed_stream(), RUN_REQUEST), Ok(false), "the write itself fails");
+        ping(shed_stream()).unwrap();
+        garbage(shed_stream()).unwrap();
+        send_and_drop(shed_stream(), RUN_REQUEST).unwrap();
+    }
+
+    #[test]
+    fn arms_reject_a_close_without_a_shed() {
+        let closed = || UnixStream::pair().unwrap().0;
+        assert!(ping(closed()).is_err());
+        assert!(garbage(closed()).is_err());
+        assert!(send_and_drop(closed(), RUN_REQUEST).is_err());
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Simulator-throughput gate: the pipeline benchmark (perfbench/) built at
-# BASE and at HEAD, run in interleaved pairs on this host, HEAD judged
-# against BASE.
+# Simulator- and compile-throughput gate: the pipeline benchmark
+# (perfbench/) built at BASE and at HEAD, run in interleaved pairs on
+# this host, HEAD judged against BASE.
 #
 #   scripts/perf_gate.sh BASE
 #
@@ -18,16 +18,20 @@
 # `multichip` (the one workload that runs `simulate_system`, whose
 # per-chip DRAM controllers the single-chip workloads never exercise),
 # traced (--trace 1), alternating which side goes first, each run in a
-# fresh working directory. From every run's result line the gate
-# reads `sim.cycles_per_s`: simulated cycles per second of the sim layer's
-# self time, scaled to perfbench's reference host speed. Two runs back to
-# back see the same host phase, so the ratio HEAD / BASE of a pair
-# cancels most of the host's drift, and the median over pairs the rest.
+# fresh working directory. From every run's result line the gate reads
+# `sim.cycles_per_s`: simulated cycles per second of the sim layer's
+# self time, scaled to perfbench's reference host speed. From the same
+# `fabric20` runs it also reads `core.compile_s`, the compiler's self
+# time per pass (six designs on the 20x20 fabric), so a compiler
+# slowdown fails the gate without adding runs. Two runs back to back see
+# the same host phase, so a pair's ratio cancels most of the host's
+# drift, and the median over pairs the rest. The ratio is HEAD / BASE
+# for a rate and BASE / HEAD for a time: below 1, HEAD is slower.
 #
-# Exit status: 0 when every run verified all its ops and, on each
-# workload, the median over pairs of HEAD / BASE is at least BOUND; 1 when
-# a run fails or reports "correct": false, or a median falls below BOUND;
-# 2 on a usage or build error.
+# Exit status: 0 when every run verified all its ops and every gate's
+# median ratio over pairs is at least BOUND; 1 when a run fails or
+# reports "correct": false, or a median falls below BOUND; 2 on a usage
+# or build error.
 set -euo pipefail
 
 PAIRS=5 # odd, so the median is one pair's ratio
@@ -35,6 +39,13 @@ RUN_SECONDS=8
 SEED=7
 BOUND=0.80
 WORKLOADS=(simlong fabric20 multichip)
+# workload, metric, and whether it is a rate (higher is better) or a time
+GATES=(
+  "simlong sim.cycles_per_s rate"
+  "fabric20 sim.cycles_per_s rate"
+  "multichip sim.cycles_per_s rate"
+  "fabric20 core.compile_s time"
+)
 
 usage() {
   echo "usage: $0 BASE" >&2
@@ -65,7 +76,7 @@ for side in base head; do
   bin[$side]="$work/target-$side/release/perfbench"
 done
 
-# Run one side once; prints its sim.cycles_per_s, or fails the gate.
+# Run one side once; prints its result line, or fails the gate.
 run() {
   local side=$1 workload=$2 pair=$3
   local dir="$work/runs/$workload-$pair-$side"
@@ -83,37 +94,49 @@ run() {
     grep failed "$dir/err.txt" | head -n 5 >&2 || true
     exit 1
   fi
-  local rate
-  rate=$(sed -n 's/.*"sim\.cycles_per_s": {"value": \([^,]*\),.*/\1/p' <<<"$line")
-  [[ -n "$rate" ]] || { echo "FAIL: no sim.cycles_per_s from $side on $workload" >&2; exit 1; }
-  echo "$rate"
+  echo "$line"
+}
+
+# Prints metric $2's value from $1's result line $3, or fails the gate.
+metric() {
+  local value
+  value=$(sed -n "s/.*\"${2//./\\.}\": {\"value\": \([^,]*\),.*/\1/p" <<<"$3")
+  [[ -n "$value" ]] || { echo "FAIL: no $2 from $1" >&2; exit 1; }
+  echo "$value"
 }
 
 declare -A ratios
 for ((pair = 1; pair <= PAIRS; pair++)); do
   if ((pair % 2)); then order=(base head); else order=(head base); fi
   for workload in "${WORKLOADS[@]}"; do
-    declare -A rate=()
+    declare -A line=()
     for side in "${order[@]}"; do
-      rate[$side]=$(run "$side" "$workload" "$pair")
+      line[$side]=$(run "$side" "$workload" "$pair")
     done
-    ratio=$(awk -v h="${rate[head]}" -v b="${rate[base]}" 'BEGIN { printf "%.4f", h / b }')
-    ratios[$workload]+="$ratio "
-    printf '%-9s pair %d (%s first): sim.cycles_per_s base %.0f head %.0f, head/base %s\n' \
-      "$workload" "$pair" "${order[0]}" "${rate[base]}" "${rate[head]}" "$ratio"
+    for gate in "${GATES[@]}"; do
+      read -r on name kind <<<"$gate"
+      [[ "$on" == "$workload" ]] || continue
+      b=$(metric base "$name" "${line[base]}")
+      h=$(metric head "$name" "${line[head]}")
+      ratio=$(awk -v h="$h" -v b="$b" -v k="$kind" 'BEGIN { printf "%.4f", k == "rate" ? h / b : b / h }')
+      ratios[$gate]+="$ratio "
+      printf '%-9s pair %d (%s first): %s base %.6g head %.6g, ratio %s\n' \
+        "$workload" "$pair" "${order[0]}" "$name" "$b" "$h" "$ratio"
+    done
   done
 done
 
 status=0
-for workload in "${WORKLOADS[@]}"; do
-  median=$(tr ' ' '\n' <<<"${ratios[$workload]}" | grep . | sort -g | sed -n "$(((PAIRS + 1) / 2))p")
+for gate in "${GATES[@]}"; do
+  read -r on name kind <<<"$gate"
+  median=$(tr ' ' '\n' <<<"${ratios[$gate]}" | grep . | sort -g | sed -n "$(((PAIRS + 1) / 2))p")
   if awk -v m="$median" -v b="$BOUND" 'BEGIN { exit !(m >= b) }'; then
     verdict=pass
   else
     verdict=FAIL
     status=1
   fi
-  echo "$workload: median head/base over $PAIRS pairs $median (bound $BOUND): $verdict"
+  echo "$on $name: median ratio over $PAIRS pairs $median (bound $BOUND): $verdict"
 done
 echo "perf gate: base ${base:0:12}, head ${head:0:12}, seed $SEED, ${RUN_SECONDS} s runs," \
   "wall $(($(date +%s) - started)) s"

@@ -13,13 +13,14 @@
 #                    over every registry workload (fixed seed). Any panic or
 #                    undiagnosed hang under an injected fault fails
 #                    verification; the JSON report lands in results/.
-#   --bench          additionally run the simulator-throughput gate
-#                    (scripts/perf_gate.sh) with HEAD~1 as the base: the
-#                    pipeline benchmark (perfbench/) built at both commits,
-#                    interleaved traced pairs on simlong, fabric20 and
-#                    multichip, failing when HEAD's median
-#                    sim.cycles_per_s falls below 0.80 of the base's on
-#                    any of them — what the CI perf-gate job
+#   --bench          additionally run the simulator- and compile-
+#                    throughput gate (scripts/perf_gate.sh) with HEAD~1
+#                    as the base: the pipeline benchmark (perfbench/)
+#                    built at both commits, interleaved traced pairs on
+#                    simlong, fabric20 and multichip, failing when HEAD's
+#                    median sim.cycles_per_s falls below 0.80 of the
+#                    base's on any of them, or when BASE / HEAD of
+#                    fabric20's core.compile_s does — what the CI perf-gate job
 #                    runs against a merge-base. It measures commits, not
 #                    the working tree. Then run the pipeline benchmark's
 #                    determinism tests: per-seed placement and simulation
