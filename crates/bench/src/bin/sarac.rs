@@ -41,15 +41,13 @@
 //! factors, optimization flags, and PnR seed all come from the file, so
 //! the simulated cycle count reproduces the tuner's number exactly.
 //!
-//! `--server` starts the persistent `sarad` service; `--connect ENDPOINT`
-//! routes work through a running service instead of compiling
-//! in-process — repeated requests are served from its content-addressed
-//! artifact cache. An endpoint containing `':'` is a TCP `host:port`
-//! address; anything else is a Unix socket path (same rule for
-//! `--socket`):
+//! `--connect ENDPOINT` routes work through a running `sarad` service
+//! (start it with the `sarad` binary) instead of compiling in-process —
+//! repeated requests are served from its content-addressed artifact
+//! cache. An endpoint containing `':'` is a TCP `host:port` address;
+//! anything else is a Unix socket path (the rule of `sarad --socket`):
 //!
 //! ```text
-//! sarac --server [--socket PATH | --socket HOST:PORT]
 //! sarac --connect ENDPOINT <workload> [--chip NAME]  # cached compile+sim
 //! sarac --connect ENDPOINT <workload> --autotune [--budget N]
 //! sarac --connect ENDPOINT --stats                   # hit/miss counters
@@ -171,27 +169,6 @@ fn autotune(name: &str, chip: &ChipSpec, budget: Option<usize>) -> ! {
     println!("knobs:  wrote {} (replay with: sarac --knobs <file>)", knobs.display());
     println!("report: wrote {}", report.display());
     std::process::exit(0);
-}
-
-/// `--server`: run the persistent `sarad` service in the foreground
-/// until a shutdown request arrives on the endpoint (a Unix socket
-/// path, or a TCP `host:port` when the spelling contains `':'`).
-fn run_server(socket: Option<String>) -> ! {
-    let mut opts = sarad::ServerOptions::from_env().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    if let Some(socket) = socket {
-        opts.socket = std::path::PathBuf::from(socket);
-    }
-    eprintln!("sarad: listening on {} (cache {})", opts.endpoint(), opts.cache_dir.display());
-    match sarad::serve(&opts) {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// `--connect ENDPOINT`: route the request through a running `sarad`
@@ -341,7 +318,6 @@ fn main() {
             "       sarac --sweep [--chip {chips}] [--simulate]",
             chips = ChipSpec::NAMES.join("|")
         );
-        eprintln!("       sarac --server [--socket PATH|HOST:PORT]");
         eprintln!(
             "       sarac --connect ENDPOINT [<workload> [--autotune] | --stats | --shutdown] \
              [--no-fallback]"
@@ -362,8 +338,6 @@ fn main() {
     let mut do_autotune = false;
     let mut budget: Option<usize> = None;
     let mut knobs_file: Option<String> = None;
-    let mut do_server = false;
-    let mut socket: Option<String> = None;
     let mut connect: Option<String> = None;
     let mut do_stats = false;
     let mut do_shutdown = false;
@@ -400,8 +374,6 @@ fn main() {
                 };
             }
             "--knobs" => knobs_file = Some(cli::flag_value(&args, &mut i, "--knobs")),
-            "--server" => do_server = true,
-            "--socket" => socket = Some(cli::flag_value(&args, &mut i, "--socket")),
             "--connect" => connect = Some(cli::flag_value(&args, &mut i, "--connect")),
             "--stats" => do_stats = true,
             "--shutdown" => do_shutdown = true,
@@ -422,9 +394,6 @@ fn main() {
             );
         }
         chip = sys.chip.clone();
-    }
-    if do_server {
-        run_server(socket);
     }
     if let Some(socket) = connect {
         run_connect(&ConnectJob {

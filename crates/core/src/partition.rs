@@ -308,15 +308,15 @@ fn order_nodes(adj: &Adjacency, ord: TraversalOrder) -> Vec<usize> {
                 ready.push_back(s);
             }
         }
-        if ready.is_empty() && out.len() < n {
-            // Cycle remnants (should not happen on DAGs): append rest.
-            let mut placed = vec![false; n];
-            for &x in &out {
-                placed[x] = true;
-            }
-            out.extend((0..n).filter(|&i| !placed[i]));
-            break;
+    }
+    if out.len() < n {
+        // Cycle remnants (should not happen on DAGs; on a cycle with no
+        // start node, the whole graph): append the rest in index order.
+        let mut placed = vec![false; n];
+        for &x in &out {
+            placed[x] = true;
         }
+        out.extend((0..n).filter(|&i| !placed[i]));
     }
     if backward {
         out.reverse();
@@ -646,6 +646,49 @@ mod tests {
         let p = Problem::new(vec![], vec![], cons(6, 4, 4));
         let s = partition(&p, Algo::BestTraversal).unwrap();
         assert_eq!(s.num_groups, 0);
+    }
+
+    /// Cyclic problems (which `merge` can build from zero-credit
+    /// streams) get a solution or `Problem::check`'s error from every
+    /// algorithm, never a panic: a 2-cycle, whose traversal has no start
+    /// node either way; a 3-cycle with a tail, which has none forward;
+    /// and a source feeding a cycle, which has none backward.
+    #[test]
+    fn cyclic_problems_are_solved_or_rejected() {
+        let algos = [
+            Algo::Traversal(TraversalOrder::DfsFwd),
+            Algo::Traversal(TraversalOrder::DfsBwd),
+            Algo::Traversal(TraversalOrder::BfsFwd),
+            Algo::Traversal(TraversalOrder::BfsBwd),
+            Algo::BestTraversal,
+            Algo::Solver(SolverCfg::default()),
+        ];
+        let graphs: [Vec<(usize, usize)>; 3] = [
+            vec![(0, 1), (1, 0)],
+            vec![(0, 1), (1, 2), (2, 0), (2, 3)],
+            vec![(0, 1), (1, 2), (2, 1)],
+        ];
+        for edges in graphs {
+            let n = edges.iter().map(|&(a, b)| a.max(b)).max().unwrap() + 1;
+            // Capacity for the whole graph in one group, and for one node.
+            for max_ops in [n as u32, 1] {
+                let p = Problem::new(vec![1; n], edges.clone(), cons(max_ops, 4, 4));
+                for algo in algos {
+                    match partition(&p, algo) {
+                        Ok(s) => assert_eq!(p.check(&s.group), Ok(s.num_groups), "{algo:?}"),
+                        Err(e) => assert!(e.ends_with("cyclic quotient"), "{algo:?}: {e}"),
+                    }
+                }
+                // One group holds the whole cycle; one node per group
+                // cannot.
+                let got = partition(&p, Algo::BestTraversal).map(|s| s.num_groups);
+                if max_ops == 1 {
+                    assert!(got.is_err(), "{edges:?}");
+                } else {
+                    assert_eq!(got, Ok(1), "{edges:?}");
+                }
+            }
+        }
     }
 
     #[test]

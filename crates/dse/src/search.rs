@@ -46,10 +46,11 @@ pub struct SearchOptions {
     pub chip: String,
     /// Also search across chip configurations.
     pub tune_chip: bool,
-    /// Stop after this many consecutive rounds without an incumbent
-    /// improvement.
-    pub stall_rounds: usize,
 }
+
+/// The search stops after this many consecutive rounds without an
+/// incumbent improvement.
+const STALL_ROUNDS: usize = 2;
 
 impl Default for SearchOptions {
     fn default() -> Self {
@@ -60,7 +61,6 @@ impl Default for SearchOptions {
             pnr_seed: 42,
             chip: "8x8".to_string(),
             tune_chip: false,
-            stall_rounds: 2,
         }
     }
 }
@@ -250,7 +250,7 @@ pub fn autotune_with(
     // DRAM-bound, par moves stop helping — try flags and chips first.
     let mut dram_bound = default_point.dram_blocked_frac.unwrap_or(0.0) > 0.4;
 
-    while explored < opts.budget && stall < opts.stall_rounds {
+    while explored < opts.budget && stall < STALL_ROUNDS {
         // Expand the beam with one-knob moves, dedup, cap to the budget.
         let mut candidates: Vec<KnobConfig> = Vec::new();
         for p in &beam {

@@ -75,8 +75,6 @@ impl Pos {
 pub struct PnrResult {
     /// Position of each placeable group.
     pub positions: HashMap<Placeable, Pos>,
-    /// Position of each unit (via its group).
-    pub unit_pos: HashMap<UnitId, Pos>,
     /// Total Manhattan wirelength over inter-unit streams.
     pub wirelength: u64,
     /// Maximum link usage (congestion proxy).
@@ -370,9 +368,8 @@ pub fn place_and_route(
             s.latency = hops * chip.hop_latency + congest;
         }
     }
-    let unit_pos = g.unit_ids().map(|u| (u, pos[of_unit[u.index()] as usize])).collect();
     let positions = placeables.into_iter().zip(pos).collect();
-    Ok(PnrResult { positions, unit_pos, wirelength: cur, max_link_use, iterations })
+    Ok(PnrResult { positions, wirelength: cur, max_link_use, iterations })
 }
 
 /// Multi-chip placement result: the sharding plan plus one

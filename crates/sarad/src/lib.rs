@@ -25,8 +25,8 @@
 //!   domain socket or TCP ([`net`] holds the transport abstraction;
 //!   an endpoint containing `':'` is a `host:port` address), a bounded
 //!   connection queue with typed backpressure rejection, per-stage
-//!   progress events, and a stats report (`sarac --server` /
-//!   `sarac --connect` wire these into the compiler driver).
+//!   progress events, and a stats report (the `sarad` binary serves;
+//!   `sarac --connect` wires the client into the compiler driver).
 
 pub mod chaos;
 pub mod client;

@@ -2,7 +2,7 @@
 //! Unix domain socket or TCP.
 //!
 //! One spelling rule applies everywhere an endpoint is written down
-//! (`sarad --socket`, `sarac --server --socket`, `sarac --connect`):
+//! (`sarad --socket`, `sarac --connect`):
 //! a value containing `':'` is a `host:port` TCP address; anything else
 //! is a Unix socket path. The protocol itself is transport-agnostic —
 //! [`Conn`] implements `Read`/`Write`/`try_clone` over both, so the

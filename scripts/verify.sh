@@ -107,7 +107,7 @@ run_multichip() {
 
 run_bench() {
   if [[ "$bench" == 1 ]]; then
-    echo "== perf gate (HEAD against HEAD~1, perfbench simlong + fabric20)"
+    echo "== perf gate (HEAD against HEAD~1, perfbench simlong, fabric20 and multichip sim throughput + fabric20 compile time)"
     scripts/perf_gate.sh HEAD~1
     echo "== perfbench determinism tests"
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
